@@ -6,7 +6,6 @@ subchannel-sharing (continuous) and one-combination-per-subchannel
 
 __version__ = "0.1.0"
 
-from .backend import active_backend, available_backends, set_backend
 from .snr import (ChannelConfig, ChannelRealization, EstimateState,
                   SnrDistribution, conditional_snr_dist, draw_channel,
                   mmse_estimate)
@@ -17,7 +16,7 @@ from .dual import (AllocationState, MAX_POWER, MIN_POWER, ProblemInstance,
                    allocation_utility, evaluate_mu, lagrangian, mu_bounds,
                    power_root, total_power, v_metric, winner_sets)
 from .waterfill import FixedAllocationSolve, solve_fixed_allocation
-from .csra import CsraResult, csra_utility, default_kappa, solve_csra
+from .csra import CsraResult, default_kappa, solve_csra
 from .dsra import (DsraResult, brute_force_dsra, dsra_gap_bound, solve_dsra)
 from .oracle import exhaustive_lagrangian_min, grid_power_oracle
 from .baselines import (SubgradientTrace, bisection_mu_trace, fp_rus_baseline,
@@ -27,7 +26,6 @@ from .experiments import (ConfigError, ScenarioConfig, TrialRecord,
 
 __all__ = [
     "__version__",
-    "active_backend", "available_backends", "set_backend",
     "ChannelConfig", "ChannelRealization", "EstimateState", "SnrDistribution",
     "conditional_snr_dist", "draw_channel", "mmse_estimate",
     "McsTable", "UtilitySpec", "expected_utility", "goodput",
@@ -37,7 +35,7 @@ __all__ = [
     "allocation_utility", "evaluate_mu", "lagrangian", "mu_bounds",
     "power_root", "total_power", "v_metric", "winner_sets",
     "FixedAllocationSolve", "solve_fixed_allocation",
-    "CsraResult", "csra_utility", "default_kappa", "solve_csra",
+    "CsraResult", "default_kappa", "solve_csra",
     "DsraResult", "brute_force_dsra", "dsra_gap_bound", "solve_dsra",
     "exhaustive_lagrangian_min", "grid_power_oracle",
     "SubgradientTrace", "bisection_mu_trace", "fp_rus_baseline",

@@ -12,12 +12,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .csra import CsraResult, solve_csra
-from .dual import (AllocationState, ProblemInstance, evaluate_mu, mu_bounds)
+from .dual import (AllocationState, ProblemInstance, _bisect_budget,
+                   _packed_rows, _run_kernel, evaluate_mu, mu_bounds)
 from .snr import STREAM_SCHEDULER
+from .utility import UTILITY_CODES
 
 
 def fp_rus_baseline(inst: ProblemInstance,
@@ -34,21 +37,17 @@ def fp_rus_baseline(inst: ProblemInstance,
     users = rng.integers(0, n_usr, size=n_sub)
     p = inst.p_con / n_sub
 
+    subs = np.arange(n_sub)
+    rows = ((subs * n_usr + users)[:, None] * n_mcs + np.arange(n_mcs)).ravel()
+    good = _run_kernel("expected_utilities", _packed_rows(inst, rows),
+                       np.full(rows.size, p), UTILITY_CODES["goodput"])
+    good = good.reshape(n_sub, n_mcs)
+    best_m = good.argmax(axis=1)
     indicator = np.zeros(inst.shape)
     x = np.zeros(inst.shape)
-    total_goodput = 0.0
-    for n in range(n_sub):
-        k = int(users[n])
-        dist = inst.dists[n][k]
-        best_m, best_g = 0, -np.inf
-        for m in range(n_mcs):
-            a, b, r = inst.mcs.entry(k, m)
-            g = dist.expectation(lambda gam: (1.0 - a * np.exp(-b * p * gam)) * r)
-            if g > best_g:
-                best_m, best_g = m, g
-        indicator[n, k, best_m] = 1.0
-        x[n, k, best_m] = p
-        total_goodput += best_g
+    indicator[subs, users, best_m] = 1.0
+    x[subs, users, best_m] = p
+    total_goodput = float(good[subs, best_m].sum())
     return AllocationState(indicator, x, discrete=True), total_goodput
 
 
@@ -105,17 +104,10 @@ def subgradient_baseline(inst: ProblemInstance, n_updates: int,
 def bisection_mu_trace(inst: ProblemInstance, n_updates: int) -> np.ndarray:
     """Midpoint sequence of the budget bisection (for convergence plots)."""
     mu_min, mu_max = mu_bounds(inst)
-    mu_lo, mu_hi = mu_min, mu_max
-    mids = np.empty(n_updates)
-    for i in range(n_updates):
-        mid = 0.5 * (mu_lo + mu_hi)
-        mids[i] = mid
-        ev = evaluate_mu(inst, mid)
-        if ev.total_power_min >= inst.p_con:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-    return mids
+    br = _bisect_budget(partial(evaluate_mu, inst),
+                        lambda ev: ev.total_power_min >= inst.p_con,
+                        mu_min, mu_max, 0.0, n_steps=n_updates)
+    return np.array(br.mids)
 
 
 __all__ = [

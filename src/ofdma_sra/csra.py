@@ -20,11 +20,12 @@ top can never report a utility above the continuous one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .dual import (AllocationState, ProblemInstance, allocation_utility,
-                   evaluate_mu, mu_bounds)
+from .dual import (AllocationState, ProblemInstance, _bisect_budget,
+                   _blend_weight, allocation_utility, evaluate_mu, mu_bounds)
 from .waterfill import FixedAllocationSolve, refinement_kappa, solve_fixed_allocation
 
 DEFAULT_KAPPA_SCALE = 0.3  # default bracket width is 0.3 / P_con
@@ -83,24 +84,13 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
             blend_utility=util, alloc=alloc, utility=util, gap_bound=0.0,
             iterations=0, budget_slack=True, degenerate_blend=True)
 
-    mu_lo, mu_hi = mu_min, mu_max
-    ev_hi = None  # X*(mu_max) = 0; evaluated lazily if the top never moves
-    iterations = 0
-    while mu_hi - mu_lo > kappa:
-        mid = 0.5 * (mu_lo + mu_hi)
-        ev = evaluate_mu(inst, mid)
-        iterations += 1
-        if ev.total_power_min >= inst.p_con:
-            mu_lo, ev_lo = mid, ev
-        else:
-            mu_hi, ev_hi = mid, ev
-    if ev_hi is None:
-        ev_hi = evaluate_mu(inst, mu_hi)
-
-    alloc_lo, alloc_hi = ev_lo.alloc_min, ev_hi.alloc_min
-    x_lo, x_hi = alloc_lo.total_power, alloc_hi.total_power
-    lam_raw = 0.0 if x_lo == x_hi else (x_lo - inst.p_con) / (x_lo - x_hi)
-    lam = min(max(lam_raw, 0.0), 1.0)
+    evaluate = partial(evaluate_mu, inst)
+    br = _bisect_budget(evaluate, lambda ev: ev.total_power_min >= inst.p_con,
+                        mu_min, mu_max, kappa, at_lo=ev_lo)
+    lam_raw, lam = _blend_weight(br, evaluate, lambda ev: ev.total_power_min,
+                                 inst.p_con)
+    mu_lo, mu_hi = br.lo, br.hi
+    alloc_lo, alloc_hi = br.at_lo.alloc_min, br.at_hi.alloc_min
     degenerate = (lam in (0.0, 1.0)
                   or bool(np.array_equal(alloc_lo.indicator, alloc_hi.indicator)))
     blend = AllocationState(
@@ -126,13 +116,8 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         alloc_lo=alloc_lo, alloc_hi=alloc_hi, lam=lam, lam_raw=lam_raw,
         blend=blend, blend_utility=blend_utility,
         alloc=best_alloc, utility=best_util,
-        gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=iterations,
+        gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
         budget_slack=False, degenerate_blend=degenerate, refined=refined)
-
-
-def csra_utility(result: CsraResult, inst: ProblemInstance) -> float:
-    """Expected utility of the blended allocation (0/0-share terms count 0)."""
-    return allocation_utility(inst, result.blend)
 
 
 def iteration_bound(mu_min: float, mu_max: float, kappa: float) -> int:

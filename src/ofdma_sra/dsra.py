@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csra import CsraResult, default_kappa, solve_csra
-from .dual import (AllocationState, ProblemInstance, V_TIE_RTOL, evaluate_mu,
+from .dual import (AllocationState, ProblemInstance, _tie_mask, evaluate_mu,
                    mu_bounds)
 from .waterfill import refinement_kappa, solve_fixed_allocation
 
@@ -63,26 +63,15 @@ def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
     mu_mid = 0.5 * (csra.mu_lo + csra.mu_hi)
     width = csra.mu_hi - csra.mu_lo
     ev = evaluate_mu(inst, mu_mid)
-    n_sub, n_usr, n_mcs = inst.shape
-    v2 = ev.v.reshape(n_sub, n_usr * n_mcs)
-    p2 = ev.p_star.reshape(n_sub, n_usr * n_mcs)
-
-    tie_found = False
-    x_min_total = 0.0
-    for n in range(n_sub):
-        i_win = int(np.argmin(v2[n]))
-        v_min = float(v2[n, i_win])
-        base_eps = V_TIE_RTOL * max(1.0, abs(v_min))
-        if v_min > -base_eps:
-            continue
-        eps = base_eps + 0.5 * width * np.abs(p2[n] - p2[n, i_win])
-        tied = np.nonzero(v2[n] <= v_min + eps)[0]
-        if tied.size > 1:
-            tie_found = True
-        x_min_total += float(p2[n, tied].min())
-
-    if not tie_found:
+    n_sub = inst.n_subchannels
+    v2 = ev.v.reshape(n_sub, -1)
+    p2 = ev.p_star.reshape(n_sub, -1)
+    p_win = p2[np.arange(n_sub), v2.argmin(axis=1)][:, None]
+    tied = _tie_mask(v2, 0.5 * width * np.abs(p2 - p_win))
+    if not np.any(tied.sum(axis=1) > 1):
         return 0.0
+    p_tied = np.where(tied, p2, np.inf).min(axis=1)
+    x_min_total = float(p_tied[tied.any(axis=1)].sum())
     raw = (mu_mid - csra.mu_min) * (inst.p_con - x_min_total)
     cap = (csra.mu_max - csra.mu_min) * inst.p_con
     return float(min(max(raw, 0.0), cap))
@@ -120,11 +109,8 @@ def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
             csra_result.alloc_hi.indicator.tobytes()]
     cands = [csra_result.refined[k] for k in keys]
     lags = np.array([fs.lagrangian for fs in cands])
-    best = cands[0]
-    for fs in cands[1:]:
-        if fs.lagrangian < best.lagrangian or (
-                fs.lagrangian == best.lagrangian and fs.utility > best.utility):
-            best = fs
+    # least Lagrangian, then most utility, then the lower end
+    best = min(cands, key=lambda fs: (fs.lagrangian, -fs.utility))
     return DsraResult(
         alloc=best.allocation(), utility=best.utility,
         lagrangian=best.lagrangian, candidate_lagrangians=lags,

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import ROOT_MAX_ITER, ROOT_REL_TOL, get_kernels
+from .kernels import get_kernels
 from .snr import SnrDistribution
-from .utility import McsTable, UtilitySpec, expected_utility, marginal_value
+from .utility import UTILITY_CODES, McsTable, UtilitySpec, expected_utility
 
 V_TIE_RTOL = 1e-9
 
@@ -80,41 +80,31 @@ class ProblemInstance:
     def flat(self) -> dict:
         """Arrays over combinations c = (n*K + k)*M + m, cached."""
         if self._flat is None:
-            n_sub, n_usr, n_mcs = self.shape
+            n_sub, n_usr, _ = self.shape
             n_atoms = max(d.n_atoms for row in self.dists for d in row)
-            gamma = np.zeros((n_sub, n_usr, n_atoms))
-            w = np.zeros((n_sub, n_usr, n_atoms))
+            gamma = np.zeros((n_sub, n_usr, 1, n_atoms))
+            w = np.zeros((n_sub, n_usr, 1, n_atoms))
             for n, row in enumerate(self.dists):
                 for k, d in enumerate(row):
-                    gamma[n, k, :d.n_atoms] = d.values
-                    w[n, k, :d.n_atoms] = d.weights
-            c_total = n_sub * n_usr * n_mcs
-            gamma_f = np.ascontiguousarray(
-                np.broadcast_to(gamma[:, :, None, :], (n_sub, n_usr, n_mcs, n_atoms))
-            ).reshape(c_total, n_atoms)
-            w_f = np.ascontiguousarray(
-                np.broadcast_to(w[:, :, None, :], (n_sub, n_usr, n_mcs, n_atoms))
-            ).reshape(c_total, n_atoms)
-            a_f = np.ascontiguousarray(
-                np.broadcast_to(self.mcs.a[None], (n_sub, n_usr, n_mcs))).ravel()
-            b_f = np.ascontiguousarray(
-                np.broadcast_to(self.mcs.b[None], (n_sub, n_usr, n_mcs))).ravel()
-            r_f = np.ascontiguousarray(
-                np.broadcast_to(self.mcs.r[None], (n_sub, n_usr, n_mcs))).ravel()
-            uparam_f = np.ascontiguousarray(np.broadcast_to(
-                self.utility.param[None, :, None], (n_sub, n_usr, n_mcs))).ravel()
+                    gamma[n, k, 0, :d.n_atoms] = d.values
+                    w[n, k, 0, :d.n_atoms] = d.weights
+
+            def per_combination(arr, tail=()):
+                return np.broadcast_to(arr, self.shape + tail).reshape(-1, *tail)
+
             self._flat = {
-                "gamma": gamma_f, "w": w_f, "a": a_f, "b": b_f, "r": r_f,
-                "uparam": uparam_f, "ucode": self.utility.code,
+                "gamma": per_combination(gamma, (n_atoms,)),
+                "w": per_combination(w, (n_atoms,)),
+                "a": per_combination(self.mcs.a),
+                "b": per_combination(self.mcs.b),
+                "r": per_combination(self.mcs.r),
+                "uparam": per_combination(self.utility.param[:, None]),
+                "ucode": self.utility.code,
             }
         return self._flat
 
     def _batch(self, fn_name: str, arg) -> np.ndarray:
-        fl = self.flat()
-        fn = getattr(get_kernels(), fn_name)
-        out = fn(fl["gamma"], fl["w"], fl["a"], fl["b"], fl["r"],
-                 fl["ucode"], fl["uparam"], arg)
-        return out.reshape(self.shape)
+        return _run_kernel(fn_name, self.flat(), arg).reshape(self.shape)
 
     def marginal_values_at(self, p: np.ndarray) -> np.ndarray:
         """Marginal of expected utility at per-combination powers p (N,K,M)."""
@@ -125,6 +115,21 @@ class ProblemInstance:
 
     def power_roots_at(self, mu: float) -> np.ndarray:
         return self._batch("power_roots", float(mu))
+
+
+def _run_kernel(fn_name: str, packed: dict, arg, ucode: int | None = None
+                ) -> np.ndarray:
+    """One kernel over packed rows, under their utility or the given code."""
+    fn = getattr(get_kernels(), fn_name)
+    return fn(packed["gamma"], packed["w"], packed["a"], packed["b"],
+              packed["r"], packed["ucode"] if ucode is None else ucode,
+              packed["uparam"], arg)
+
+
+def _packed_rows(inst: ProblemInstance, rows: np.ndarray) -> dict:
+    """The packed kernel arrays of ``inst`` at flat combination indices rows."""
+    return {key: val[rows] if isinstance(val, np.ndarray) else val
+            for key, val in inst.flat().items()}
 
 
 @dataclass
@@ -186,67 +191,111 @@ class MuEvaluation:
     p_star: np.ndarray     # (N,K,M)
     exp_util: np.ndarray   # (N,K,M) expected utility at p_star
     v: np.ndarray          # (N,K,M) = mu*p_star - exp_util
-    winners: tuple[WinnerSet, ...]
-    alloc_min: AllocationState = field(repr=False, default=None)
-    alloc_max: AllocationState = field(repr=False, default=None)
+    alloc_min: AllocationState = field(repr=False)
+    alloc_max: AllocationState = field(repr=False)
 
     @property
     def total_power_min(self) -> float:
         return self.alloc_min.total_power
 
-    @property
-    def total_power_max(self) -> float:
-        return self.alloc_max.total_power
+
+def _tie_mask(v2: np.ndarray, slack=0.0) -> np.ndarray:
+    """(N, K*M) mask of the scores tied with their subchannel's minimum.
+
+    Scores within V_TIE_RTOL * max(1, |V_min|) + slack of the minimum tie; a
+    subchannel whose minimum is not negative beyond that relative tolerance
+    has no winner and an all-False row.
+    """
+    v_min = v2.min(axis=1, keepdims=True)
+    eps = V_TIE_RTOL * np.maximum(1.0, np.abs(v_min))
+    return (v2 <= v_min + (eps + slack)) & (v_min <= -eps)
 
 
-def _pick(flat_winners: np.ndarray, p_row: np.ndarray, want_max: bool) -> int:
-    """Index of the min-/max-power winner, lexicographic (k, m) on p ties."""
-    p_w = p_row[flat_winners]
-    key = -p_w if want_max else p_w
-    order = np.lexsort((flat_winners, key))
-    return int(flat_winners[order[0]])
+def _pick(tied: np.ndarray, key: np.ndarray, p2: np.ndarray,
+          shape: tuple[int, int, int]) -> AllocationState:
+    """Each subchannel to its tied entry of least key (lowest index on equal keys)."""
+    win = np.where(tied, key, np.inf).argmin(axis=1)
+    n = np.flatnonzero(tied.any(axis=1))
+    indicator = np.zeros(p2.shape)
+    x = np.zeros(p2.shape)
+    indicator[n, win[n]] = 1.0
+    x[n, win[n]] = p2[n, win[n]]
+    return AllocationState(indicator.reshape(shape), x.reshape(shape),
+                           discrete=True)
 
 
 def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
     """Score all combinations at mu and build both extreme discrete allocations."""
     if not np.isfinite(mu):
         raise ValueError("multiplier must be finite")
-    n_sub, n_usr, n_mcs = inst.shape
     p_star = inst.power_roots_at(mu)
     exp_util = inst.expected_utilities_at(p_star)
     v = mu * p_star - exp_util
 
-    v2 = v.reshape(n_sub, n_usr * n_mcs)
-    p2 = p_star.reshape(n_sub, n_usr * n_mcs)
-    shape = inst.shape
-    ind_min = np.zeros(shape)
-    x_min = np.zeros(shape)
-    ind_max = np.zeros(shape)
-    x_max = np.zeros(shape)
-    winners = []
-    for n in range(n_sub):
-        v_min = float(v2[n].min())
-        eps = V_TIE_RTOL * max(1.0, abs(v_min))
-        if v_min > -eps:
-            winners.append(WinnerSet(pairs=(), v_min=v_min))
-            continue
-        tied = np.nonzero(v2[n] <= v_min + eps)[0]
-        winners.append(WinnerSet(
-            pairs=tuple((int(i) // n_mcs, int(i) % n_mcs) for i in tied),
-            v_min=v_min))
-        i_lo = _pick(tied, p2[n], want_max=False)
-        i_hi = _pick(tied, p2[n], want_max=True)
-        ind_min.reshape(n_sub, -1)[n, i_lo] = 1.0
-        x_min.reshape(n_sub, -1)[n, i_lo] = p2[n, i_lo]
-        ind_max.reshape(n_sub, -1)[n, i_hi] = 1.0
-        x_max.reshape(n_sub, -1)[n, i_hi] = p2[n, i_hi]
-
+    n_sub = inst.n_subchannels
+    p2 = p_star.reshape(n_sub, -1)
+    tied = _tie_mask(v.reshape(n_sub, -1))
     return MuEvaluation(
         mu=float(mu), p_star=p_star, exp_util=exp_util, v=v,
-        winners=tuple(winners),
-        alloc_min=AllocationState(ind_min, x_min, discrete=True),
-        alloc_max=AllocationState(ind_max, x_max, discrete=True),
+        alloc_min=_pick(tied, p2, p2, inst.shape),
+        alloc_max=_pick(tied, -p2, p2, inst.shape),
     )
+
+
+# ---------------------------------------------------------------------------
+# budget bisection over the power price
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Bracket:
+    """Final price bracket and the latest evaluation at each of its ends."""
+
+    lo: float
+    hi: float
+    at_lo: object       # None until evaluated
+    at_hi: object
+    mids: list[float]   # every midpoint evaluated, in order
+
+
+def _bisect_budget(evaluate, binds, lo: float, hi: float, kappa: float,
+                   n_steps: int | None = None, at_lo=None) -> _Bracket:
+    """Halve [lo, hi] on the power price mu around the budget-binding point.
+
+    ``evaluate(mu)`` is the work done at one price and ``binds(result)`` says
+    whether the budget still binds there, in which case mid becomes the lower
+    end.  Stops once the bracket is at most kappa wide, or after exactly
+    n_steps midpoints when that is given.  ``at_lo`` may carry an evaluation
+    already made at ``lo``.
+    """
+    at_hi = None
+    mids = []
+    while (hi - lo > kappa) if n_steps is None else (len(mids) < n_steps):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        at_mid = evaluate(mid)
+        if binds(at_mid):
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
+    return _Bracket(lo, hi, at_lo, at_hi, mids)
+
+
+def _blend_weight(br: _Bracket, evaluate, total, budget: float
+                  ) -> tuple[float, float]:
+    """Weight lam on the upper end so that the blend of the ends spends budget.
+
+    An end that never moved is evaluated here, once.  ``total(result)`` is
+    the power an evaluation spends.  Returns the raw weight and the weight
+    clipped to [0, 1].
+    """
+    if br.at_lo is None:
+        br.at_lo = evaluate(br.lo)
+    if br.at_hi is None:
+        br.at_hi = evaluate(br.hi)
+    x_lo, x_hi = total(br.at_lo), total(br.at_hi)
+    lam_raw = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
+    return lam_raw, min(max(lam_raw, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +309,10 @@ def power_root(dist: SnrDistribution, mcs, util: UtilitySpec, mu: float,
     if not np.isfinite(mu):
         raise ValueError("multiplier must be finite")
     a, b, r = mcs
-    kr = get_kernels()
-    out = kr.power_roots(
+    out = get_kernels().power_roots(
         dist.values[None, :], dist.weights[None, :],
         np.array([a]), np.array([b]), np.array([r]),
-        util.code, np.array([util.param[k]]), float(mu),
-        ROOT_REL_TOL, ROOT_MAX_ITER)
+        util.code, np.array([util.param[k]]), float(mu))
     return float(out[0])
 
 
@@ -276,7 +323,13 @@ def v_metric(dist: SnrDistribution, mcs, util: UtilitySpec, mu: float,
 
 
 def winner_sets(inst: ProblemInstance, mu: float) -> list[WinnerSet]:
-    return list(evaluate_mu(inst, mu).winners)
+    """Per subchannel, the (user, MCS) pairs tied for the least score at mu."""
+    v2 = evaluate_mu(inst, mu).v.reshape(inst.n_subchannels, -1)
+    n_mcs = inst.n_mcs
+    return [WinnerSet(pairs=tuple((int(i) // n_mcs, int(i) % n_mcs)
+                                  for i in np.flatnonzero(row)),
+                      v_min=float(v.min()))
+            for row, v in zip(_tie_mask(v2), v2)]
 
 
 def mu_bounds(inst: ProblemInstance) -> tuple[float, float]:
@@ -312,28 +365,24 @@ def total_power(inst: ProblemInstance, mu: float,
 def lagrangian(inst: ProblemInstance, mu: float,
                alloc: AllocationState) -> float:
     """L(mu, I, x) = sum_I I*F(I, x) + (sum x - P_con) * mu."""
-    powers = alloc.powers()
-    eu = inst.expected_utilities_at(powers)
-    obj = -float((alloc.indicator * eu)[alloc.indicator > 0.0].sum())
-    return obj + (alloc.total_power - inst.p_con) * mu
+    return (-allocation_utility(inst, alloc)
+            + (alloc.total_power - inst.p_con) * mu)
+
+
+def _allocation_sum(inst: ProblemInstance, alloc: AllocationState,
+                    ucode: int | None = None) -> float:
+    """sum I * E{U(g(x/I, gamma))} over the allocated combinations only."""
+    rows = np.flatnonzero(alloc.indicator > 0.0)
+    eu = _run_kernel("expected_utilities", _packed_rows(inst, rows),
+                     alloc.powers().ravel()[rows], ucode)
+    return float(np.sum(alloc.indicator.ravel()[rows] * eu))
 
 
 def allocation_utility(inst: ProblemInstance, alloc: AllocationState) -> float:
     """sum I * E{U(g(x/I, gamma))} with 0/0 := 0."""
-    powers = alloc.powers()
-    eu = inst.expected_utilities_at(powers)
-    mask = alloc.indicator > 0.0
-    return float((alloc.indicator * eu)[mask].sum())
+    return _allocation_sum(inst, alloc)
 
 
 def allocation_goodput(inst: ProblemInstance, alloc: AllocationState) -> float:
     """Expected error-free bits of an allocation, regardless of the utility."""
-    total = 0.0
-    powers = alloc.powers()
-    idx = np.argwhere(alloc.indicator > 0.0)
-    for n, k, m in idx:
-        dist = inst.dists[n][k]
-        a, b, r = inst.mcs.entry(k, m)
-        t = dist.expectation(lambda g: (1.0 - a * np.exp(-b * powers[n, k, m] * g)) * r)
-        total += alloc.indicator[n, k, m] * t
-    return total
+    return _allocation_sum(inst, alloc, UTILITY_CODES["goodput"])

@@ -122,6 +122,8 @@ class ScenarioConfig:
                               f"{self.sweep_variable!r}")
         if not self.sweep_values:
             raise ConfigError("sweep.values: must be non-empty")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError("sweep.values: duplicate values")
         if self.n_trials < 1:
             raise ConfigError("n_trials: must be at least 1")
         if self.mcs_preset not in ("qam", "capacity"):

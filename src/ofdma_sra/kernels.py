@@ -17,30 +17,23 @@ Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 evaluated in log space when r == 1 so that deep-saturation powers
 (``exp(-b*p*gamma)`` underflowing to 0) stay finite.
 
-Two interchangeable implementations exist: numba-compiled scalar loops and
-a vectorized pure-numpy fallback.  ``get_kernels()`` picks one according to
-``backend.active_backend()``.
+Each map is vectorized numpy over all rows at once.  Callers look the maps
+up through ``get_kernels()`` at call time, so that a profiler can wrap the
+namespace it returns.
 """
 
 from __future__ import annotations
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
-
-from . import backend
 
 ROOT_REL_TOL = 1e-9
 ROOT_MAX_ITER = 200
 _GROW_MAX = 200
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementation
-# ---------------------------------------------------------------------------
 
-
-def _u_value_np(ucode, theta, a, r, s):
+def _u_value(ucode, theta, a, r, s):
     """U(g) with g = (1 - a*exp(-s))*r, s = b*p*gamma (arrays broadcast)."""
     t = np.exp(-s)
     g = (1.0 - a * t) * r
@@ -57,7 +50,7 @@ def _u_value_np(ucode, theta, a, r, s):
     return np.where(r == 1.0, exact, plain)
 
 
-def _u_der_t_np(ucode, theta, a, r, s):
+def _u_der_t(ucode, theta, a, r, s):
     """U'(g) * exp(-s); the product is what the marginal integrand needs."""
     t = np.exp(-s)
     if ucode == 0:
@@ -74,39 +67,38 @@ def _u_der_t_np(ucode, theta, a, r, s):
     return np.where(r == 1.0, exact, plain)
 
 
-def _marginal_np(gamma, w, a, b, r, ucode, uparam, p):
+def _marginal(gamma, w, a, b, r, ucode, uparam, p):
     s = b[:, None] * p[:, None] * gamma
-    der_t = _u_der_t_np(ucode, uparam[:, None], a[:, None], r[:, None], s)
+    der_t = _u_der_t(ucode, uparam[:, None], a[:, None], r[:, None], s)
     return a * b * r * np.sum(w * gamma * der_t, axis=1)
 
 
-def _expected_np(gamma, w, a, b, r, ucode, uparam, p):
+def _expected(gamma, w, a, b, r, ucode, uparam, p):
     s = b[:, None] * p[:, None] * gamma
-    vals = _u_value_np(ucode, uparam[:, None], a[:, None], r[:, None], s)
+    vals = _u_value(ucode, uparam[:, None], a[:, None], r[:, None], s)
     return np.sum(w * vals, axis=1)
 
 
-def _power_roots_np(gamma, w, a, b, r, ucode, uparam, mu,
-                    rel_tol=ROOT_REL_TOL, max_iter=ROOT_MAX_ITER):
+def _power_roots(gamma, w, a, b, r, ucode, uparam, mu):
     n = gamma.shape[0]
     zeros = np.zeros(n)
-    mv0 = _marginal_np(gamma, w, a, b, r, ucode, uparam, zeros)
+    mv0 = _marginal(gamma, w, a, b, r, ucode, uparam, zeros)
     out = np.zeros(n)
     todo = mv0 > mu
     if not todo.any():
         return out
     hi = np.ones(n)
     for _ in range(_GROW_MAX):
-        mv = _marginal_np(gamma, w, a, b, r, ucode, uparam, hi)
+        mv = _marginal(gamma, w, a, b, r, ucode, uparam, hi)
         grow = todo & (mv > mu)
         if not grow.any():
             break
         hi[grow] *= 2.0
     lo = np.zeros(n)
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        mv = _marginal_np(gamma, w, a, b, r, ucode, uparam, mid)
-        done = todo & (np.abs(mv - mu) <= rel_tol * mu)
+        mv = _marginal(gamma, w, a, b, r, ucode, uparam, mid)
+        done = todo & (np.abs(mv - mu) <= ROOT_REL_TOL * mu)
         out[done] = mid[done]
         todo &= ~done
         if not todo.any():
@@ -119,142 +111,13 @@ def _power_roots_np(gamma, w, a, b, r, ucode, uparam, mu,
     return out
 
 
-_NUMPY = SimpleNamespace(
-    name="numpy",
-    marginal_values=_marginal_np,
-    expected_utilities=_expected_np,
-    power_roots=_power_roots_np,
+_KERNELS = SimpleNamespace(
+    marginal_values=_marginal,
+    expected_utilities=_expected,
+    power_roots=_power_roots,
 )
-
-# ---------------------------------------------------------------------------
-# numba implementation (scalar loops over the same math)
-# ---------------------------------------------------------------------------
-
-_NUMBA = None
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _u_value_one(ucode, theta, a, r, s):
-        if ucode == 3 and r == 1.0:
-            return theta * math.log(1.0 - math.log(a) + s)
-        t = math.exp(-s)
-        g = (1.0 - a * t) * r
-        if ucode == 0:
-            return g
-        if ucode == 1:
-            return theta * g
-        if ucode == 2:
-            return -math.expm1(-theta * g)
-        one_m_g = (1.0 - r) + r * a * t
-        if one_m_g <= 0.0:
-            one_m_g = 1.0
-        return theta * math.log(1.0 - math.log(one_m_g))
-
-    @njit(cache=True)
-    def _u_der_t_one(ucode, theta, a, r, s):
-        if ucode == 3 and r == 1.0:
-            return theta / (a * (1.0 - math.log(a) + s))
-        t = math.exp(-s)
-        if ucode == 0:
-            return t
-        if ucode == 1:
-            return theta * t
-        if ucode == 2:
-            g = (1.0 - a * t) * r
-            return theta * math.exp(-theta * g) * t
-        one_m_g = (1.0 - r) + r * a * t
-        if one_m_g <= 0.0:
-            one_m_g = 1.0
-        return theta * t / (one_m_g * (1.0 - math.log(one_m_g)))
-
-    @njit(cache=True)
-    def _marginal_one(gamma, w, a, b, r, ucode, theta, p):
-        acc = 0.0
-        for i in range(gamma.shape[0]):
-            wi = w[i]
-            if wi == 0.0:
-                continue
-            gi = gamma[i]
-            acc += wi * gi * _u_der_t_one(ucode, theta, a, r, b * p * gi)
-        return a * b * r * acc
-
-    @njit(cache=True)
-    def _expected_one(gamma, w, a, b, r, ucode, theta, p):
-        acc = 0.0
-        for i in range(gamma.shape[0]):
-            wi = w[i]
-            if wi == 0.0:
-                continue
-            acc += wi * _u_value_one(ucode, theta, a, r, b * p * gamma[i])
-        return acc
-
-    @njit(cache=True)
-    def _root_one(gamma, w, a, b, r, ucode, theta, mu, rel_tol, max_iter):
-        if _marginal_one(gamma, w, a, b, r, ucode, theta, 0.0) <= mu:
-            return 0.0
-        hi = 1.0
-        grow = 0
-        while _marginal_one(gamma, w, a, b, r, ucode, theta, hi) > mu and grow < _GROW_MAX:
-            hi *= 2.0
-            grow += 1
-        lo = 0.0
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            mv = _marginal_one(gamma, w, a, b, r, ucode, theta, mid)
-            if abs(mv - mu) <= rel_tol * mu:
-                return mid
-            if mv > mu:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    @njit(cache=True)
-    def _marginal_nb(gamma, w, a, b, r, ucode, uparam, p):
-        n = gamma.shape[0]
-        out = np.empty(n)
-        for c in range(n):
-            out[c] = _marginal_one(gamma[c], w[c], a[c], b[c], r[c],
-                                   ucode, uparam[c], p[c])
-        return out
-
-    @njit(cache=True)
-    def _expected_nb(gamma, w, a, b, r, ucode, uparam, p):
-        n = gamma.shape[0]
-        out = np.empty(n)
-        for c in range(n):
-            out[c] = _expected_one(gamma[c], w[c], a[c], b[c], r[c],
-                                   ucode, uparam[c], p[c])
-        return out
-
-    @njit(cache=True)
-    def _power_roots_nb(gamma, w, a, b, r, ucode, uparam, mu, rel_tol, max_iter):
-        n = gamma.shape[0]
-        out = np.empty(n)
-        for c in range(n):
-            out[c] = _root_one(gamma[c], w[c], a[c], b[c], r[c],
-                               ucode, uparam[c], mu, rel_tol, max_iter)
-        return out
-
-    def _power_roots_nb_wrap(gamma, w, a, b, r, ucode, uparam, mu,
-                             rel_tol=ROOT_REL_TOL, max_iter=ROOT_MAX_ITER):
-        return _power_roots_nb(gamma, w, a, b, r, ucode, uparam,
-                               mu, rel_tol, max_iter)
-
-    _NUMBA = SimpleNamespace(
-        name="numba",
-        marginal_values=_marginal_nb,
-        expected_utilities=_expected_nb,
-        power_roots=_power_roots_nb_wrap,
-    )
-except ImportError:  # pragma: no cover - exercised only without numba
-    pass
 
 
 def get_kernels():
-    """Kernel namespace for the active backend."""
-    if backend.active_backend() == "numba" and _NUMBA is not None:
-        return _NUMBA
-    return _NUMPY
+    """The kernel namespace (looked up per call, never bound at import)."""
+    return _KERNELS

@@ -189,9 +189,6 @@ class SnrDistribution:
     def n_atoms(self) -> int:
         return self.values.size
 
-    def expectation(self, fn) -> float:
-        return float(np.dot(self.weights, fn(self.values)))
-
     @property
     def mean(self) -> float:
         return float(np.dot(self.weights, self.values))

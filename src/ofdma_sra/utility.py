@@ -166,13 +166,13 @@ def expected_utility(dist: SnrDistribution, p, mcs, util: UtilitySpec,
     ``p`` may be a scalar or a vector of powers (one expectation per entry).
     Evaluated through the same saturation-safe forms as the batch kernels.
     """
-    from .kernels import _u_value_np
+    from .kernels import _u_value
 
     a, b, r = mcs
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     s = b * np.multiply.outer(p, dist.values)
-    vals = _u_value_np(util.code, util.param[k], a, r, s) @ dist.weights
+    vals = _u_value(util.code, util.param[k], a, r, s) @ dist.weights
     return float(vals) if scalar else vals
 
 
@@ -182,13 +182,13 @@ def marginal_value(dist: SnrDistribution, p, mcs, util: UtilitySpec,
 
     Strictly decreasing in p, which is what makes the power root-find safe.
     """
-    from .kernels import _u_der_t_np
+    from .kernels import _u_der_t
 
     a, b, r = mcs
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     s = b * np.multiply.outer(p, dist.values)
-    der_t = _u_der_t_np(util.code, util.param[k], a, r, s)
+    der_t = _u_der_t(util.code, util.param[k], a, r, s)
     out = a * b * r * ((dist.values * der_t) @ dist.weights)
     return float(out) if scalar else out
 

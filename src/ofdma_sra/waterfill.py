@@ -11,11 +11,12 @@ the returned powers meet the budget with equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .dual import AllocationState, ProblemInstance, mu_bounds
-from .kernels import ROOT_MAX_ITER, ROOT_REL_TOL, get_kernels
+from .dual import (AllocationState, ProblemInstance, _bisect_budget,
+                   _blend_weight, _packed_rows, _run_kernel, mu_bounds)
 
 
 @dataclass
@@ -49,52 +50,25 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
         raise ValueError("at most one combination per subchannel")
 
     mu_min, mu_max = mu_bounds(inst)
-    active = np.nonzero(indicator.ravel() > 0.0)[0]
-    fl = inst.flat()
-    sub = {key: np.ascontiguousarray(fl[key][active]) for key in
-           ("gamma", "w", "a", "b", "r", "uparam")}
-    kr = get_kernels()
-
-    def roots(mu: float) -> np.ndarray:
-        if active.size == 0:
-            return np.zeros(0)
-        return kr.power_roots(sub["gamma"], sub["w"], sub["a"], sub["b"],
-                              sub["r"], fl["ucode"], sub["uparam"], float(mu),
-                              ROOT_REL_TOL, ROOT_MAX_ITER)
-
-    def exp_utils(p: np.ndarray) -> np.ndarray:
-        if active.size == 0:
-            return np.zeros(0)
-        return kr.expected_utilities(sub["gamma"], sub["w"], sub["a"], sub["b"],
-                                     sub["r"], fl["ucode"], sub["uparam"], p)
-
-    mu_lo, mu_hi = mu_min, mu_max
-    iterations = 0
-    while mu_hi - mu_lo > kappa:
-        mid = 0.5 * (mu_lo + mu_hi)
-        total = roots(mid).sum()
-        iterations += 1
-        if total > inst.p_con:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-
-    p_lo = roots(mu_lo)
-    p_hi = roots(mu_hi)
-    x_lo, x_hi = p_lo.sum(), p_hi.sum()
-    lam_raw = 0.0 if x_lo == x_hi else (x_lo - inst.p_con) / (x_lo - x_hi)
-    lam = min(max(lam_raw, 0.0), 1.0)
+    active = np.flatnonzero(indicator)
+    packed = _packed_rows(inst, active)
+    roots = partial(_run_kernel, "power_roots", packed)
+    br = _bisect_budget(roots, lambda p: p.sum() > inst.p_con,
+                        mu_min, mu_max, kappa)
+    _, lam = _blend_weight(br, roots, np.sum, inst.p_con)
+    p_lo, p_hi = br.at_lo, br.at_hi
     p_blend = lam * p_hi + (1.0 - lam) * p_lo
 
-    lagrangian = float(-exp_utils(p_hi).sum() + (x_hi - inst.p_con) * mu_hi)
-    utility = float(exp_utils(p_blend).sum())
+    lagrangian = float(-_run_kernel("expected_utilities", packed, p_hi).sum()
+                       + (p_hi.sum() - inst.p_con) * br.hi)
+    utility = float(_run_kernel("expected_utilities", packed, p_blend).sum())
 
     x = np.zeros(inst.shape)
     x.ravel()[active] = p_blend
     return FixedAllocationSolve(
-        indicator=indicator.copy(), x=x, mu_lo=float(mu_lo), mu_hi=float(mu_hi),
+        indicator=indicator.copy(), x=x, mu_lo=float(br.lo), mu_hi=float(br.hi),
         lam=float(lam), lagrangian=lagrangian, utility=utility,
-        iterations=iterations)
+        iterations=len(br.mids))
 
 
 def refinement_kappa(mu_min: float, mu_max: float, kappa: float) -> float:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ofdma_sra import (csra_utility, default_kappa, mu_bounds, solve_csra)
+from ofdma_sra import (allocation_utility, default_kappa, mu_bounds,
+                       solve_csra)
 from ofdma_sra.csra import iteration_bound
 from conftest import atom_instance, point_mass_instance, single_combo_instance
 
@@ -38,8 +39,8 @@ def test_identical_subchannels_split_evenly():
 def test_csra_utility_matches_blend_and_dominates_endpoints():
     inst = atom_instance(seed=11, p_con=24.0)
     res = solve_csra(inst)
-    assert csra_utility(res, inst) == pytest.approx(res.blend_utility, abs=1e-12)
-    from ofdma_sra import allocation_utility
+    assert allocation_utility(inst, res.blend) == pytest.approx(
+        res.blend_utility, abs=1e-12)
     u_lo = allocation_utility(inst, res.alloc_lo)
     u_hi = allocation_utility(inst, res.alloc_hi)
     assert res.blend_utility >= min(u_lo, u_hi) - 1e-9

@@ -39,6 +39,8 @@ def test_config_rejects_unknown_keys():
 def test_config_field_errors():
     with pytest.raises(ConfigError, match="sweep"):
         ScenarioConfig.from_dict({"sweep": {"variable": "nope", "values": [1]}})
+    with pytest.raises(ConfigError, match="sweep.values"):
+        ScenarioConfig.from_dict({"sweep": {"values": [-10, -10]}})
     with pytest.raises(ConfigError, match="n_trials"):
         ScenarioConfig.from_dict({"n_trials": 0})
     with pytest.raises(ConfigError, match="schemes"):

@@ -157,7 +157,7 @@ def test_atom_invariants():
         assert np.all(d.values >= 0.0)
         assert np.all(np.diff(d.values) >= 0.0)
         assert abs(d.weights.sum() - 1.0) <= 1e-12
-        assert d.expectation(np.ones_like) == 1.0
+        assert np.dot(d.weights, np.ones(n)) == 1.0
 
 
 def test_spike_collapse_guard():
@@ -193,4 +193,4 @@ def test_bad_arguments():
 def test_from_samples_uniform():
     d = SnrDistribution.from_samples([0.5, 1.5, 2.5, 3.5])
     assert d.mean == pytest.approx(2.0)
-    assert d.expectation(np.ones_like) == 1.0
+    assert np.dot(d.weights, np.ones(4)) == 1.0

@@ -99,6 +99,24 @@ def test_capacity_log_concave_in_power():
     mid = expected_utility(d, 0.5 * (p[:-1] + p[1:]), (1.0, 1.0, 1.0), u)
     assert np.all(mid >= 0.5 * (vals[:-1] + vals[1:]) - 1e-12)
 
+    # deep saturation: exp(-p*gamma) underflows to 0 at these powers, so only
+    # the log-space branch of the kernels keeps values and marginals finite
+    deep = SnrDistribution([0.3, 1.7, 4.0], [0.25, 0.5, 0.25])
+    p_deep = np.array([0.0, 250.0, 800.0, 3000.0])
+    pg = np.multiply.outer(p_deep, deep.values)
+    vals = expected_utility(deep, p_deep, (1.0, 1.0, 1.0), u)
+    assert np.allclose(vals, 0.5 * np.log1p(pg) @ deep.weights, rtol=1e-12)
+    mv = marginal_value(deep, p_deep, (1.0, 1.0, 1.0), u)
+    assert np.all(np.isfinite(mv))
+    assert np.allclose(mv, 0.5 * (deep.values / (1.0 + pg)) @ deep.weights,
+                       rtol=1e-12)
+    # the batched kernels behind the solvers take the same branch
+    inst = ProblemInstance(mcs=McsTable.capacity(1), utility=u,
+                           dists=[[deep]] * 4, p_con=1.0)
+    at = p_deep.reshape(4, 1, 1)
+    assert np.allclose(inst.expected_utilities_at(at).ravel(), vals, rtol=1e-12)
+    assert np.allclose(inst.marginal_values_at(at).ravel(), mv, rtol=1e-12)
+
 
 def test_marginal_strictly_decreasing_in_power():
     dists = [SnrDistribution.point_mass(1.3),
