@@ -70,10 +70,13 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     ev_lo = evaluate_mu(inst, mu_min)
 
     if ev_lo.total_power_min < inst.p_con * (1.0 - 1e-6):
-        # Budget never binds: defensive branch, unreachable for the
-        # implemented utility family (every active combination already
-        # asks for >= P_con at mu_min; the tolerance keeps root-find noise
-        # at the exactly-binding corner out of this branch).
+        # Budget does not bind at mu_min.  Reachable: atoms of a wide dynamic
+        # range (e.g. [1e-300, 1e300]) leave the marginal flat within
+        # ROOT_REL_TOL of mu_min, the root-find stops at its first midpoint,
+        # and the allocation spends a fraction of P_con (1/8 for that pair on
+        # four subchannels) with gap 0 and overflow warnings; what to do
+        # instead is open (ROADMAP.md item 4).  The tolerance keeps root-find
+        # noise at the exactly-binding corner out of this branch.
         alloc = ev_lo.alloc_min
         util = allocation_utility(inst, alloc)
         return CsraResult(

@@ -58,6 +58,7 @@ class ProblemInstance:
             raise ValueError("capacity-log utility requires rates r <= 1 "
                              "so that goodput stays below 1")
         self._flat = None
+        self._mu_bounds = None
 
     @property
     def n_subchannels(self) -> int:
@@ -337,12 +338,14 @@ def mu_bounds(inst: ProblemInstance) -> tuple[float, float]:
 
     mu_min is the smallest marginal when every combination spends the whole
     budget; mu_max the largest activation threshold (marginal at zero power).
-    Above mu_max no combination accepts power.
+    Above mu_max no combination accepts power.  Computed once per instance.
     """
-    shape = inst.shape
-    mv_full = inst.marginal_values_at(np.full(shape, inst.p_con))
-    mv_zero = inst.marginal_values_at(np.zeros(shape))
-    return float(mv_full.min()), float(mv_zero.max())
+    if inst._mu_bounds is None:
+        shape = inst.shape
+        mv_full = inst.marginal_values_at(np.full(shape, inst.p_con))
+        mv_zero = inst.marginal_values_at(np.zeros(shape))
+        inst._mu_bounds = (float(mv_full.min()), float(mv_zero.max()))
+    return inst._mu_bounds
 
 
 def allocation_at_mu(inst: ProblemInstance, mu: float,

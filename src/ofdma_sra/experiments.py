@@ -45,8 +45,8 @@ from .csra import solve_csra
 from .dsra import solve_dsra
 from .dual import (AllocationState, ProblemInstance, allocation_at_mu,
                    allocation_goodput, allocation_utility)
-from .snr import (ChannelConfig, SnrDistribution, conditional_snr_dist,
-                  draw_channel, mmse_estimate)
+from .snr import (ChannelConfig, SnrDistribution, _conditional_snr_dists,
+                  conditional_snr_dist, draw_channel, mmse_estimate)
 from .utility import McsTable, UtilitySpec
 
 ALL_SCHEMES = ("CSRA-PCSI", "CSRA-ICSI", "DSRA-ICSI", "FP-RUS", "SUBGRAD-ICSI")
@@ -301,8 +301,8 @@ def build_trial_instances(cfg: ScenarioConfig, seed: int) -> dict:
         mcs = McsTable.capacity(k_users)
     util = cfg.utility.realize(k_users)
 
-    icsi = [[conditional_snr_dist(est.mean[n, k], est.est_error_var, cfg.n_atoms)
-             for k in range(k_users)] for n in range(ch.n_subchannels)]
+    atoms = _conditional_snr_dists(est.mean, est.est_error_var, cfg.n_atoms)
+    icsi = [atoms[n * k_users:(n + 1) * k_users] for n in range(ch.n_subchannels)]
     pcsi = [[SnrDistribution.point_mass(realization.true_snr[n, k])
              for k in range(k_users)] for n in range(ch.n_subchannels)]
     # channel prior: taps are CN(0, sigma_g^2) so gamma ~ |CN(0, L*sigma_g2)|^2;

@@ -17,9 +17,23 @@ Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 evaluated in log space when r == 1 so that deep-saturation powers
 (``exp(-b*p*gamma)`` underflowing to 0) stay finite.
 
-Each map is vectorized numpy over all rows at once.  Callers look the maps
-up through ``get_kernels()`` at call time, so that a profiler can wrap the
-namespace it returns.
+Each map is vectorized numpy.  The marginal and the expectation are
+evaluated ``_BLOCK_ROWS`` rows at a time into one preallocated output, which
+caps their (rows, atoms) temporaries at full scale; each row's sum is the
+same as in one full-size pass, so the results are bit-identical.
+
+``power_roots`` evaluates the marginal at p=0 over every row; rows at or
+below ``mu`` get 0 and never enter the loops.  The doubling of the upper
+bracket and the bisection then run on a working set (the row arrays, ``lo``,
+``hi`` and each row's output position) from which rows drop once they
+converge.  The working set is gathered anew only when at most half of it is
+still unfinished, at entry and after each bisection pass: a gather copies
+the (rows, atoms) arrays, and gathering a larger share would hold more
+memory than the loops save.  Every per-row operation is the one a full-row
+bisection performs, so the roots are bit-identical to it.
+
+Callers look the maps up through ``get_kernels()`` at call time, so that a
+profiler can wrap the namespace it returns.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ import numpy as np
 ROOT_REL_TOL = 1e-9
 ROOT_MAX_ITER = 200
 _GROW_MAX = 200
+_BLOCK_ROWS = 2048
 
 
 def _u_value(ucode, theta, a, r, s):
@@ -67,47 +82,80 @@ def _u_der_t(ucode, theta, a, r, s):
     return np.where(r == 1.0, exact, plain)
 
 
-def _marginal(gamma, w, a, b, r, ucode, uparam, p):
+def _marginal_rows(gamma, w, a, b, r, ucode, uparam, p):
     s = b[:, None] * p[:, None] * gamma
     der_t = _u_der_t(ucode, uparam[:, None], a[:, None], r[:, None], s)
     return a * b * r * np.sum(w * gamma * der_t, axis=1)
 
 
-def _expected(gamma, w, a, b, r, ucode, uparam, p):
+def _expected_rows(gamma, w, a, b, r, ucode, uparam, p):
     s = b[:, None] * p[:, None] * gamma
     vals = _u_value(ucode, uparam[:, None], a[:, None], r[:, None], s)
     return np.sum(w * vals, axis=1)
 
 
+def _in_blocks(rows_fn, gamma, w, a, b, r, ucode, uparam, p):
+    """rows_fn over at most _BLOCK_ROWS rows at a time."""
+    if gamma.shape[0] <= _BLOCK_ROWS:
+        return rows_fn(gamma, w, a, b, r, ucode, uparam, p)
+    out = np.empty(gamma.shape[0])
+    for i in range(0, out.size, _BLOCK_ROWS):
+        blk = slice(i, i + _BLOCK_ROWS)
+        out[blk] = rows_fn(gamma[blk], w[blk], a[blk], b[blk], r[blk], ucode,
+                           uparam[blk], p[blk])
+    return out
+
+
+def _marginal(gamma, w, a, b, r, ucode, uparam, p):
+    return _in_blocks(_marginal_rows, gamma, w, a, b, r, ucode, uparam, p)
+
+
+def _expected(gamma, w, a, b, r, ucode, uparam, p):
+    return _in_blocks(_expected_rows, gamma, w, a, b, r, ucode, uparam, p)
+
+
+def _gather(work, todo):
+    """The working set cut to its unfinished rows, all marked unfinished."""
+    keep = np.flatnonzero(todo)
+    return [arr[keep] for arr in work], np.ones(keep.size, dtype=bool)
+
+
 def _power_roots(gamma, w, a, b, r, ucode, uparam, mu):
     n = gamma.shape[0]
-    zeros = np.zeros(n)
-    mv0 = _marginal(gamma, w, a, b, r, ucode, uparam, zeros)
     out = np.zeros(n)
-    todo = mv0 > mu
-    if not todo.any():
+    todo = _marginal(gamma, w, a, b, r, ucode, uparam, np.zeros(n)) > mu
+    left = np.count_nonzero(todo)
+    if left == 0:
         return out
-    hi = np.ones(n)
+    # working set: the row arrays, the bracket and each row's output position;
+    # todo marks its unfinished rows, gathered once at most half are left
+    lo, hi, pos = np.zeros(n), np.ones(n), np.arange(n)
+    if 2 * left <= n:
+        (gamma, w, a, b, r, uparam, lo, hi, pos), todo = _gather(
+            [gamma, w, a, b, r, uparam, lo, hi, pos], todo)
     for _ in range(_GROW_MAX):
         mv = _marginal(gamma, w, a, b, r, ucode, uparam, hi)
         grow = todo & (mv > mu)
         if not grow.any():
             break
         hi[grow] *= 2.0
-    lo = np.zeros(n)
     for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         mv = _marginal(gamma, w, a, b, r, ucode, uparam, mid)
         done = todo & (np.abs(mv - mu) <= ROOT_REL_TOL * mu)
-        out[done] = mid[done]
+        out[pos[done]] = mid[done]
         todo &= ~done
-        if not todo.any():
-            break
+        left = np.count_nonzero(todo)
+        if left == 0:
+            return out
         up = todo & (mv > mu)
         lo[up] = mid[up]
         dn = todo & (mv <= mu)
         hi[dn] = mid[dn]
-    out[todo] = 0.5 * (lo + hi)[todo]
+        if 2 * left <= todo.size:
+            (gamma, w, a, b, r, uparam, lo, hi, pos), todo = _gather(
+                [gamma, w, a, b, r, uparam, lo, hi, pos], todo)
+    out[pos[todo]] = 0.5 * (lo + hi)[todo]
     return out
 
 

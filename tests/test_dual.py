@@ -108,6 +108,20 @@ def test_mu_bounds_symmetry(rng):
                                    for a, b, r in [inst.mcs.entry(0, m)]))
 
 
+def test_mu_bounds_computed_once_per_instance(monkeypatch):
+    inst = point_mass_instance(np.array([[0.5, 2.0], [1.5, 0.2]]), p_con=3.0)
+    first = mu_bounds(inst)
+    calls = []
+    marginal = inst.marginal_values_at
+    monkeypatch.setattr(inst, "marginal_values_at",
+                        lambda p: calls.append(p) or marginal(p))
+    assert mu_bounds(inst) == first
+    assert not calls
+    # a fresh instance over the same data computes the same pair
+    fresh = point_mass_instance(np.array([[0.5, 2.0], [1.5, 0.2]]), p_con=3.0)
+    assert mu_bounds(fresh) == first
+
+
 def test_allocation_matches_exhaustive_lagrangian(rng):
     for seed in range(6):
         g = np.random.default_rng(seed).uniform(0.3, 3.0, size=(2, 2))

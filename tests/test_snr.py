@@ -5,6 +5,8 @@ import pytest
 
 from ofdma_sra import (ChannelConfig, SnrDistribution, conditional_snr_dist,
                        draw_channel, mmse_estimate)
+from ofdma_sra import snr
+from ofdma_sra.snr import NC_COLLAPSE_THRESHOLD, _conditional_snr_dists
 
 
 def cfg(n=8, k=3, l=2, snr=10.0, pilot=0.0):
@@ -177,6 +179,77 @@ def test_perfect_pilot_pipeline_matches_truth():
         for k in range(2):
             d = conditional_snr_dist(est.mean[n, k], est.est_error_var, 32)
             assert d.mean == pytest.approx(real.true_snr[n, k], rel=1e-8)
+
+
+def assert_batch_matches_single(hhat, s2, n_atoms):
+    batch = _conditional_snr_dists(hhat, s2, n_atoms)
+    assert len(batch) == np.size(hhat)
+    for h, d in zip(np.ravel(hhat), batch):
+        one = conditional_snr_dist(h, s2, n_atoms)
+        assert d.n_atoms == one.n_atoms
+        assert np.array_equal(d.values, one.values)
+        assert np.array_equal(d.weights, one.weights)
+    return batch
+
+
+def test_batched_atoms_match_single_laws():
+    # zero estimate, ordinary estimates and one spike in one batch
+    s2 = 0.5
+    h_spike = np.sqrt(NC_COLLAPSE_THRESHOLD * s2)  # nc = 2 * threshold
+    hhat = np.array([[0.0, 0.3 + 1.0j, 2.0 - 0.1j],
+                     [1e-9j, h_spike, 0.7]])
+    batch = assert_batch_matches_single(hhat, s2, 32)
+    assert [d.n_atoms for d in batch] == [32, 32, 32, 32, 1, 32]
+    # a pilot-estimated channel at full atom count
+    c = cfg(n=8, k=3, pilot=-10.0)
+    est = mmse_estimate(c, draw_channel(c, seed=4), seed=4)
+    assert_batch_matches_single(est.mean, est.est_error_var, 64)
+
+
+def test_batched_atoms_degenerate_cases():
+    hhat = np.array([0.0, 0.8 + 0.6j, 3.0])
+    exact = assert_batch_matches_single(hhat, 0.0, 64)
+    assert [d.n_atoms for d in exact] == [1, 1, 1]
+    single = assert_batch_matches_single(hhat, 0.25, 1)
+    assert [d.n_atoms for d in single] == [1, 1, 1]
+    assert single[1].values[0] == pytest.approx(1.25)
+    spikes = assert_batch_matches_single(hhat[1:], 1e-21, 16)
+    assert [d.n_atoms for d in spikes] == [1, 1]
+
+
+def test_batched_centers_match_scalar_square():
+    # |hhat|^2 as numpy's scalar ** computes it (C pow); the array ** squares
+    # instead and differs in the last bit for about one input in a thousand
+    rng = np.random.default_rng(11)
+    hhat = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    batch = _conditional_snr_dists(hhat, 0.0, 8)
+    want = [float(np.abs(h) ** 2) for h in hhat]
+    assert [d.values[0] for d in batch] == want
+
+
+def test_batched_atoms_degenerate_bin_fallback(monkeypatch):
+    # a repeated quantile edge leaves a bin without mass; only that law's
+    # bin falls back to its own mean, 2 + nc in chi-squared units
+    s2 = 0.5
+    hhat = np.array([0.4, 1.0, 1.5])
+    target = 2.0 * 1.0 / s2
+    ppf = snr.ncx2.ppf
+
+    class Ncx2:
+        cdf = staticmethod(snr.ncx2.cdf)
+
+        @staticmethod
+        def ppf(q, df, nc):
+            edges = ppf(q, df, nc)        # (laws, n_atoms + 1)
+            hit = (nc == target).ravel()
+            edges[hit, 1] = edges[hit, 2]
+            return edges
+
+    monkeypatch.setattr(snr, "ncx2", Ncx2)
+    batch = assert_batch_matches_single(hhat, s2, 8)
+    assert batch[1].values[1] == 0.5 * s2 * (2.0 + target)
+    for d in (batch[0], batch[2]):
+        assert np.all(np.diff(d.values) > 0.0)
 
 
 def test_bad_arguments():
