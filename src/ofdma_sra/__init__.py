@@ -9,18 +9,13 @@ __version__ = "0.1.0"
 from .snr import (ChannelConfig, ChannelRealization, EstimateState,
                   SnrDistribution, conditional_snr_dist, draw_channel,
                   mmse_estimate)
-from .utility import (McsTable, UtilitySpec, expected_utility, goodput,
-                      indicator_cost, marginal_value)
-from .dual import (AllocationState, MAX_POWER, MIN_POWER, ProblemInstance,
-                   WinnerSet, allocation_at_mu, allocation_goodput,
-                   allocation_utility, evaluate_mu, lagrangian, mu_bounds,
-                   power_root, total_power, v_metric, winner_sets)
+from .utility import McsTable, UtilitySpec
+from .dual import (AllocationState, ProblemInstance, allocation_goodput,
+                   allocation_utility, evaluate_mu, mu_bounds)
 from .waterfill import FixedAllocationSolve, solve_fixed_allocation
 from .csra import CsraResult, default_kappa, solve_csra
-from .dsra import (DsraResult, brute_force_dsra, dsra_gap_bound, solve_dsra)
-from .oracle import exhaustive_lagrangian_min, grid_power_oracle
-from .baselines import (SubgradientTrace, bisection_mu_trace, fp_rus_baseline,
-                        perfect_csi_run, subgradient_baseline)
+from .dsra import DsraResult, dsra_gap_bound, solve_dsra
+from .baselines import SubgradientTrace, fp_rus_baseline, subgradient_baseline
 from .experiments import (ConfigError, ScenarioConfig, TrialRecord,
                           UtilityConfig, run_scenario, run_trial)
 
@@ -28,18 +23,13 @@ __all__ = [
     "__version__",
     "ChannelConfig", "ChannelRealization", "EstimateState", "SnrDistribution",
     "conditional_snr_dist", "draw_channel", "mmse_estimate",
-    "McsTable", "UtilitySpec", "expected_utility", "goodput",
-    "indicator_cost", "marginal_value",
-    "AllocationState", "MAX_POWER", "MIN_POWER", "ProblemInstance",
-    "WinnerSet", "allocation_at_mu", "allocation_goodput",
-    "allocation_utility", "evaluate_mu", "lagrangian", "mu_bounds",
-    "power_root", "total_power", "v_metric", "winner_sets",
+    "McsTable", "UtilitySpec",
+    "AllocationState", "ProblemInstance", "allocation_goodput",
+    "allocation_utility", "evaluate_mu", "mu_bounds",
     "FixedAllocationSolve", "solve_fixed_allocation",
     "CsraResult", "default_kappa", "solve_csra",
-    "DsraResult", "brute_force_dsra", "dsra_gap_bound", "solve_dsra",
-    "exhaustive_lagrangian_min", "grid_power_oracle",
-    "SubgradientTrace", "bisection_mu_trace", "fp_rus_baseline",
-    "perfect_csi_run", "subgradient_baseline",
+    "DsraResult", "dsra_gap_bound", "solve_dsra",
+    "SubgradientTrace", "fp_rus_baseline", "subgradient_baseline",
     "ConfigError", "ScenarioConfig", "TrialRecord", "UtilityConfig",
     "run_scenario", "run_trial",
 ]

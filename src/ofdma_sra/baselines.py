@@ -3,22 +3,21 @@
 * fixed-power random-user scheduling: no instantaneous CSI at all; one
   uniformly drawn user per subchannel, power P_con/N, and whichever MCS
   maximizes expected goodput at that power (a lower bound for everyone),
-* perfect-CSI continuous solve: the same solver fed point masses at the
-  realized SNRs (an upper bound),
 * projected subgradient on the dual variable with 1/i steps: the
   convergence-speed strawman for the bisection.
+
+The perfect-CSI upper bound needs no code of its own: the runner's
+``CSRA-PCSI`` scheme is ``solve_csra`` on point masses at the realized SNRs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .csra import CsraResult, solve_csra
-from .dual import (AllocationState, ProblemInstance, _bisect_budget,
-                   _packed_rows, _run_kernel, evaluate_mu, mu_bounds)
+from .dual import (AllocationState, ProblemInstance, _packed_rows, _run_kernel,
+                   evaluate_mu, mu_bounds)
 from .snr import STREAM_SCHEDULER
 from .utility import UTILITY_CODES
 
@@ -51,16 +50,6 @@ def fp_rus_baseline(inst: ProblemInstance,
     return AllocationState(indicator, x, discrete=True), total_goodput
 
 
-def perfect_csi_run(inst: ProblemInstance,
-                    kappa: float | None = None) -> CsraResult:
-    """Continuous solve under point-mass SNRs (the clairvoyant upper bound)."""
-    for row in inst.dists:
-        for d in row:
-            if d.n_atoms != 1:
-                raise ValueError("perfect-CSI run expects point-mass distributions")
-    return solve_csra(inst, kappa)
-
-
 @dataclass
 class SubgradientTrace:
     """Per-update multiplier, allocation utility, and total power."""
@@ -74,19 +63,19 @@ class SubgradientTrace:
 
 
 def subgradient_baseline(inst: ProblemInstance, n_updates: int,
-                         scale: float = 1.0,
-                         mu0: float | None = None) -> SubgradientTrace:
+                         scale: float = 1.0) -> SubgradientTrace:
     """Dual ascent with step scale/i on the budget violation.
 
-    mu_{i+1} = max(mu_min, mu_i + scale * (X*(mu_i) - P_con) / i); the
-    allocation at each visited mu is scored by its expected utility.  The
-    iterates close in on the budget-binding multiplier far slower than
-    bisection, which is the point of keeping this around.
+    mu_{i+1} = max(mu_min, mu_i + scale * (X*(mu_i) - P_con) / i), from the
+    midpoint of [mu_min, mu_max]; the allocation at each visited mu is scored
+    by its expected utility.  The iterates close in on the budget-binding
+    multiplier far slower than bisection, which is the point of keeping this
+    around.
     """
     if n_updates < 1:
         raise ValueError("need at least one update")
     mu_min, mu_max = mu_bounds(inst)
-    mu = 0.5 * (mu_min + mu_max) if mu0 is None else float(mu0)
+    mu = 0.5 * (mu_min + mu_max)
 
     mus = np.empty(n_updates)
     utils = np.empty(n_updates)
@@ -99,18 +88,3 @@ def subgradient_baseline(inst: ProblemInstance, n_updates: int,
         utils[i - 1] = float((alloc.indicator * ev.exp_util).sum())
         mu = max(mu_min, mu + scale * (alloc.total_power - inst.p_con) / i)
     return SubgradientTrace(mus=mus, utilities=utils, total_powers=totals)
-
-
-def bisection_mu_trace(inst: ProblemInstance, n_updates: int) -> np.ndarray:
-    """Midpoint sequence of the budget bisection (for convergence plots)."""
-    mu_min, mu_max = mu_bounds(inst)
-    br = _bisect_budget(partial(evaluate_mu, inst),
-                        lambda ev: ev.total_power_min >= inst.p_con,
-                        mu_min, mu_max, 0.0, n_steps=n_updates)
-    return np.array(br.mids)
-
-
-__all__ = [
-    "fp_rus_baseline", "perfect_csi_run", "subgradient_baseline",
-    "SubgradientTrace", "bisection_mu_trace",
-]

@@ -46,7 +46,6 @@ class CsraResult:
     alloc_lo: AllocationState
     alloc_hi: AllocationState
     lam: float
-    lam_raw: float
     blend: AllocationState
     blend_utility: float
     alloc: AllocationState      # best feasible candidate (blend or refined endpoint)
@@ -75,13 +74,13 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         # ROOT_REL_TOL of mu_min, the root-find stops at its first midpoint,
         # and the allocation spends a fraction of P_con (1/8 for that pair on
         # four subchannels) with gap 0 and overflow warnings; what to do
-        # instead is open (ROADMAP.md item 4).  The tolerance keeps root-find
-        # noise at the exactly-binding corner out of this branch.
+        # instead is open (ROADMAP.md, robust sweeps).  The tolerance keeps
+        # root-find noise at the exactly-binding corner out of this branch.
         alloc = ev_lo.alloc_min
         util = allocation_utility(inst, alloc)
         return CsraResult(
             mu_min=mu_min, mu_max=mu_max, mu_lo=mu_min, mu_hi=mu_min,
-            alloc_lo=alloc, alloc_hi=alloc, lam=0.0, lam_raw=0.0,
+            alloc_lo=alloc, alloc_hi=alloc, lam=0.0,
             blend=AllocationState(alloc.indicator.copy(),
                                   alloc.actual_power.copy(), discrete=True),
             blend_utility=util, alloc=alloc, utility=util, gap_bound=0.0,
@@ -90,8 +89,7 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     evaluate = partial(evaluate_mu, inst)
     br = _bisect_budget(evaluate, lambda ev: ev.total_power_min >= inst.p_con,
                         mu_min, mu_max, kappa, at_lo=ev_lo)
-    lam_raw, lam = _blend_weight(br, evaluate, lambda ev: ev.total_power_min,
-                                 inst.p_con)
+    lam = _blend_weight(br, evaluate, lambda ev: ev.total_power_min, inst.p_con)
     mu_lo, mu_hi = br.lo, br.hi
     alloc_lo, alloc_hi = br.at_lo.alloc_min, br.at_hi.alloc_min
     degenerate = (lam in (0.0, 1.0)
@@ -116,15 +114,8 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
 
     return CsraResult(
         mu_min=mu_min, mu_max=mu_max, mu_lo=mu_lo, mu_hi=mu_hi,
-        alloc_lo=alloc_lo, alloc_hi=alloc_hi, lam=lam, lam_raw=lam_raw,
+        alloc_lo=alloc_lo, alloc_hi=alloc_hi, lam=lam,
         blend=blend, blend_utility=blend_utility,
         alloc=best_alloc, utility=best_util,
         gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
         budget_slack=False, degenerate_blend=degenerate, refined=refined)
-
-
-def iteration_bound(mu_min: float, mu_max: float, kappa: float) -> int:
-    """Worst-case number of mu-updates for the bisection."""
-    if mu_max - mu_min <= kappa:
-        return 0
-    return int(np.ceil(np.log2((mu_max - mu_min) / kappa)))

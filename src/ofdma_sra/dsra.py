@@ -1,8 +1,7 @@
 """Discrete (one-combination-per-subchannel) solver and its gap certificate.
 
 Exact discrete solving is exponential: there are (KM+1)^N feasible
-indicators, each needing its own water-filling.  ``brute_force_dsra`` does
-exactly that, for small instances, and serves as the reference.
+indicators, each needing its own water-filling.
 
 The practical path rides on the continuous solver: its bracket-endpoint
 allocations are already discrete, so re-solving the (at most two) candidate
@@ -20,17 +19,13 @@ multiplier and, coarser, by (mu_max - mu_min) * P_con.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csra import CsraResult, default_kappa, solve_csra
-from .dual import (AllocationState, ProblemInstance, _tie_mask, evaluate_mu,
-                   mu_bounds)
+from .dual import AllocationState, ProblemInstance, _tie_mask, evaluate_mu
 from .waterfill import refinement_kappa, solve_fixed_allocation
-
-BRUTE_FORCE_CAP = 20000
 
 
 @dataclass
@@ -44,7 +39,6 @@ class DsraResult:
     gap_bound: float
     exact_from_continuous: bool
     csra: CsraResult | None = None
-    n_hypotheses: int | None = None
 
 
 def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
@@ -115,44 +109,3 @@ def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
         alloc=best.allocation(), utility=best.utility,
         lagrangian=best.lagrangian, candidate_lagrangians=lags,
         gap_bound=gap, exact_from_continuous=False, csra=csra_result)
-
-
-def brute_force_dsra(inst: ProblemInstance, kappa: float | None = None,
-                     max_hypotheses: int = BRUTE_FORCE_CAP) -> DsraResult:
-    """Exhaustive exact discrete solve; ranking key is achieved utility.
-
-    Enumerates every indicator (lexicographic over subchannel assignments,
-    "none" first), water-fills each, and keeps the utility maximum.  The
-    Lagrangian of every hypothesis is recorded.
-    """
-    if kappa is None:
-        kappa = default_kappa(inst.p_con)
-    n_sub, n_usr, n_mcs = inst.shape
-    n_hyp = (n_usr * n_mcs + 1) ** n_sub
-    if n_hyp > max_hypotheses:
-        raise ValueError(
-            f"brute force needs {n_hyp} hypotheses; raise max_hypotheses "
-            f"(currently {max_hypotheses}) to allow this")
-
-    mu_min, mu_max = mu_bounds(inst)
-    refine_k = refinement_kappa(mu_min, mu_max, kappa)
-
-    options = [None] + [(k, m) for k in range(n_usr) for m in range(n_mcs)]
-    best_fs = None
-    best_utility = -np.inf
-    lags = np.empty(n_hyp)
-    for idx, combo in enumerate(itertools.product(options, repeat=n_sub)):
-        indicator = np.zeros(inst.shape)
-        for n, km in enumerate(combo):
-            if km is not None:
-                indicator[n, km[0], km[1]] = 1.0
-        fs = solve_fixed_allocation(inst, indicator, refine_k)
-        lags[idx] = fs.lagrangian
-        if fs.utility > best_utility:
-            best_utility = fs.utility
-            best_fs = fs
-
-    return DsraResult(
-        alloc=best_fs.allocation(), utility=best_fs.utility,
-        lagrangian=best_fs.lagrangian, candidate_lagrangians=lags,
-        gap_bound=0.0, exact_from_continuous=False, n_hypotheses=n_hyp)

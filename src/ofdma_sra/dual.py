@@ -3,18 +3,18 @@
 For a multiplier mu > 0 pricing total power, each (subchannel, user, MCS)
 combination gets
 
-* a candidate power p*(mu): the unique root of
-  marginal_value(p) = mu when mu is below the activation threshold
-  (the marginal at p = 0), else 0;
+* a candidate power p*(mu): the unique root of the expected-utility
+  marginal equal to mu when mu is below the activation threshold
+  (the marginal at zero power), else 0;
 * a score V(mu) = -E{U(g(p*, gamma))} + mu * p*.
 
 On each subchannel the Lagrangian is minimized by giving the whole
 subchannel to a combination with the most negative V (no allocation when
 min V is not negative).  Ties within a relative tolerance form the winner
-set; min-/max-power tie rules produce the two extreme discrete allocations
-whose total powers bracket every optimal value at that mu.  The total
-optimal power X*(mu) is nonincreasing in mu, which is what the bisection
-solvers exploit.
+set; the min-power tie rule picks the discrete allocation X_min whose total
+power is the least of every optimal value at that mu.  The total optimal
+power X*(mu) is nonincreasing in mu, which is what the bisection solvers
+exploit.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ import numpy as np
 
 from .kernels import get_kernels
 from .snr import SnrDistribution
-from .utility import UTILITY_CODES, McsTable, UtilitySpec, expected_utility
+from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
 V_TIE_RTOL = 1e-9
-
-MIN_POWER = "min"
-MAX_POWER = "max"
 
 
 @dataclass(eq=False)
@@ -177,14 +174,6 @@ class AllocationState:
 
 
 @dataclass(frozen=True)
-class WinnerSet:
-    """Tied Lagrangian-minimizing (user, MCS) pairs on one subchannel."""
-
-    pairs: tuple[tuple[int, int], ...]
-    v_min: float
-
-
-@dataclass(frozen=True)
 class MuEvaluation:
     """Everything the solvers need at one multiplier value."""
 
@@ -192,8 +181,7 @@ class MuEvaluation:
     p_star: np.ndarray     # (N,K,M)
     exp_util: np.ndarray   # (N,K,M) expected utility at p_star
     v: np.ndarray          # (N,K,M) = mu*p_star - exp_util
-    alloc_min: AllocationState = field(repr=False)
-    alloc_max: AllocationState = field(repr=False)
+    alloc_min: AllocationState = field(repr=False)  # min-power tie rule
 
     @property
     def total_power_min(self) -> float:
@@ -212,21 +200,12 @@ def _tie_mask(v2: np.ndarray, slack=0.0) -> np.ndarray:
     return (v2 <= v_min + (eps + slack)) & (v_min <= -eps)
 
 
-def _pick(tied: np.ndarray, key: np.ndarray, p2: np.ndarray,
-          shape: tuple[int, int, int]) -> AllocationState:
-    """Each subchannel to its tied entry of least key (lowest index on equal keys)."""
-    win = np.where(tied, key, np.inf).argmin(axis=1)
-    n = np.flatnonzero(tied.any(axis=1))
-    indicator = np.zeros(p2.shape)
-    x = np.zeros(p2.shape)
-    indicator[n, win[n]] = 1.0
-    x[n, win[n]] = p2[n, win[n]]
-    return AllocationState(indicator.reshape(shape), x.reshape(shape),
-                           discrete=True)
-
-
 def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
-    """Score all combinations at mu and build both extreme discrete allocations."""
+    """Score all combinations at mu and build the min-power discrete allocation.
+
+    Each subchannel goes to its tied combination of least power, the lowest
+    index among equal powers.
+    """
     if not np.isfinite(mu):
         raise ValueError("multiplier must be finite")
     p_star = inst.power_roots_at(mu)
@@ -236,11 +215,16 @@ def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
     n_sub = inst.n_subchannels
     p2 = p_star.reshape(n_sub, -1)
     tied = _tie_mask(v.reshape(n_sub, -1))
-    return MuEvaluation(
-        mu=float(mu), p_star=p_star, exp_util=exp_util, v=v,
-        alloc_min=_pick(tied, p2, p2, inst.shape),
-        alloc_max=_pick(tied, -p2, p2, inst.shape),
-    )
+    win = np.where(tied, p2, np.inf).argmin(axis=1)
+    n = np.flatnonzero(tied.any(axis=1))
+    indicator = np.zeros(p2.shape)
+    x = np.zeros(p2.shape)
+    indicator[n, win[n]] = 1.0
+    x[n, win[n]] = p2[n, win[n]]
+    alloc = AllocationState(indicator.reshape(inst.shape), x.reshape(inst.shape),
+                            discrete=True)
+    return MuEvaluation(mu=float(mu), p_star=p_star, exp_util=exp_util, v=v,
+                        alloc_min=alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +244,17 @@ class _Bracket:
 
 
 def _bisect_budget(evaluate, binds, lo: float, hi: float, kappa: float,
-                   n_steps: int | None = None, at_lo=None) -> _Bracket:
+                   at_lo=None) -> _Bracket:
     """Halve [lo, hi] on the power price mu around the budget-binding point.
 
     ``evaluate(mu)`` is the work done at one price and ``binds(result)`` says
     whether the budget still binds there, in which case mid becomes the lower
-    end.  Stops once the bracket is at most kappa wide, or after exactly
-    n_steps midpoints when that is given.  ``at_lo`` may carry an evaluation
-    already made at ``lo``.
+    end.  Stops once the bracket is at most kappa wide.  ``at_lo`` may carry
+    an evaluation already made at ``lo``.
     """
     at_hi = None
     mids = []
-    while (hi - lo > kappa) if n_steps is None else (len(mids) < n_steps):
+    while hi - lo > kappa:
         mid = 0.5 * (lo + hi)
         mids.append(mid)
         at_mid = evaluate(mid)
@@ -282,55 +265,24 @@ def _bisect_budget(evaluate, binds, lo: float, hi: float, kappa: float,
     return _Bracket(lo, hi, at_lo, at_hi, mids)
 
 
-def _blend_weight(br: _Bracket, evaluate, total, budget: float
-                  ) -> tuple[float, float]:
+def _blend_weight(br: _Bracket, evaluate, total, budget: float) -> float:
     """Weight lam on the upper end so that the blend of the ends spends budget.
 
     An end that never moved is evaluated here, once.  ``total(result)`` is
-    the power an evaluation spends.  Returns the raw weight and the weight
-    clipped to [0, 1].
+    the power an evaluation spends.  The weight is clipped to [0, 1].
     """
     if br.at_lo is None:
         br.at_lo = evaluate(br.lo)
     if br.at_hi is None:
         br.at_hi = evaluate(br.hi)
     x_lo, x_hi = total(br.at_lo), total(br.at_hi)
-    lam_raw = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
-    return lam_raw, min(max(lam_raw, 0.0), 1.0)
+    lam = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
+    return min(max(lam, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
-# public per-combination and per-instance operations
+# public per-instance operations
 # ---------------------------------------------------------------------------
-
-
-def power_root(dist: SnrDistribution, mcs, util: UtilitySpec, mu: float,
-               k: int = 0) -> float:
-    """Power where the expected-utility marginal equals mu (0 above threshold)."""
-    if not np.isfinite(mu):
-        raise ValueError("multiplier must be finite")
-    a, b, r = mcs
-    out = get_kernels().power_roots(
-        dist.values[None, :], dist.weights[None, :],
-        np.array([a]), np.array([b]), np.array([r]),
-        util.code, np.array([util.param[k]]), float(mu))
-    return float(out[0])
-
-
-def v_metric(dist: SnrDistribution, mcs, util: UtilitySpec, mu: float,
-             p_star: float, k: int = 0) -> float:
-    """-E{U(g(p*, gamma))} + mu * p*."""
-    return float(mu * p_star - expected_utility(dist, p_star, mcs, util, k))
-
-
-def winner_sets(inst: ProblemInstance, mu: float) -> list[WinnerSet]:
-    """Per subchannel, the (user, MCS) pairs tied for the least score at mu."""
-    v2 = evaluate_mu(inst, mu).v.reshape(inst.n_subchannels, -1)
-    n_mcs = inst.n_mcs
-    return [WinnerSet(pairs=tuple((int(i) // n_mcs, int(i) % n_mcs)
-                                  for i in np.flatnonzero(row)),
-                      v_min=float(v.min()))
-            for row, v in zip(_tie_mask(v2), v2)]
 
 
 def mu_bounds(inst: ProblemInstance) -> tuple[float, float]:
@@ -346,30 +298,6 @@ def mu_bounds(inst: ProblemInstance) -> tuple[float, float]:
         mv_zero = inst.marginal_values_at(np.zeros(shape))
         inst._mu_bounds = (float(mv_full.min()), float(mv_zero.max()))
     return inst._mu_bounds
-
-
-def allocation_at_mu(inst: ProblemInstance, mu: float,
-                     tie_rule: str = MIN_POWER) -> AllocationState:
-    """Discrete Lagrangian-minimizing allocation at mu under a tie rule."""
-    ev = evaluate_mu(inst, mu)
-    if tie_rule == MIN_POWER:
-        return ev.alloc_min
-    if tie_rule == MAX_POWER:
-        return ev.alloc_max
-    raise ValueError(f"unknown tie rule {tie_rule!r}")
-
-
-def total_power(inst: ProblemInstance, mu: float,
-                tie_rule: str = MIN_POWER) -> float:
-    """X*(mu): total power of the tie-resolved optimal allocation at mu."""
-    return allocation_at_mu(inst, mu, tie_rule).total_power
-
-
-def lagrangian(inst: ProblemInstance, mu: float,
-               alloc: AllocationState) -> float:
-    """L(mu, I, x) = sum_I I*F(I, x) + (sum x - P_con) * mu."""
-    return (-allocation_utility(inst, alloc)
-            + (alloc.total_power - inst.p_con) * mu)
 
 
 def _allocation_sum(inst: ProblemInstance, alloc: AllocationState,

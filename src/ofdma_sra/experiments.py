@@ -43,11 +43,11 @@ from . import __version__
 from .baselines import fp_rus_baseline, subgradient_baseline
 from .csra import solve_csra
 from .dsra import solve_dsra
-from .dual import (AllocationState, ProblemInstance, allocation_at_mu,
-                   allocation_goodput, allocation_utility)
+from .dual import (AllocationState, ProblemInstance, allocation_goodput,
+                   allocation_utility, evaluate_mu)
 from .snr import (ChannelConfig, SnrDistribution, _conditional_snr_dists,
                   conditional_snr_dist, draw_channel, mmse_estimate)
-from .utility import McsTable, UtilitySpec
+from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
 ALL_SCHEMES = ("CSRA-PCSI", "CSRA-ICSI", "DSRA-ICSI", "FP-RUS", "SUBGRAD-ICSI")
 SWEEP_VARIABLES = ("pilot_snr_db", "n_users", "snr_db", "weight_w1")
@@ -72,6 +72,10 @@ class UtilityConfig:
     weights: tuple[float, ...] | None = None        # explicit per-user weights
     scale: float = 1.0                              # capacity-log only
 
+    def __post_init__(self):
+        if self.variant not in UTILITY_CODES:
+            raise ConfigError(f"utility.variant: unknown variant {self.variant!r}")
+
     def realize(self, n_users: int) -> UtilitySpec:
         if self.variant == "goodput":
             return UtilitySpec.goodput(n_users)
@@ -89,13 +93,11 @@ class UtilityConfig:
             for cw, idx in zip(self.class_weights, parts):
                 w[idx] = cw
         else:
-            raise ConfigError(f"utility.{self.variant}: needs weights or "
-                              "class_weights")
+            raise ConfigError(f"utility.weights: {self.variant} needs weights "
+                              "or class_weights")
         if self.variant == "weighted_goodput":
             return UtilitySpec.weighted_goodput(w)
-        if self.variant == "exp_pricing":
-            return UtilitySpec.exp_pricing(w)
-        raise ConfigError(f"utility.variant: unknown variant {self.variant!r}")
+        return UtilitySpec.exp_pricing(w)
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,17 @@ class ScenarioConfig:
             raise ConfigError("n_trials: must be at least 1")
         if self.mcs_preset not in ("qam", "capacity"):
             raise ConfigError(f"mcs.preset: unknown preset {self.mcs_preset!r}")
+        if self.n_mcs < 1:
+            raise ConfigError("mcs.n_mcs: must be at least 1")
+        if self.utility.variant == "capacity_log" and self.mcs_preset != "capacity":
+            raise ConfigError("utility.variant: capacity_log needs mcs.preset "
+                              "'capacity' (rates r <= 1)")
         if self.n_atoms < 1:
             raise ConfigError("n_atoms: must be at least 1")
+        if self.kappa is not None and not self.kappa > 0.0:
+            raise ConfigError("kappa: must be positive")
+        if self.subgradient_updates < 1:
+            raise ConfigError("subgradient.updates: must be at least 1")
         for s in self.schemes:
             if s not in ALL_SCHEMES:
                 raise ConfigError(f"schemes: unknown scheme {s!r}")
@@ -138,30 +149,29 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        allowed = {"channel", "mcs", "utility", "sweep", "n_trials", "seed",
-                   "kappa", "n_atoms", "schemes", "subgradient"}
-        _reject_unknown(raw, allowed, "")
-        channel = _parse_channel(raw.get("channel", {}))
-        mcs_preset, n_mcs = _parse_mcs(raw.get("mcs", {}))
-        util = _parse_utility(raw.get("utility", {}))
-        sweep_var, sweep_vals = _parse_sweep(raw.get("sweep", {}))
-        sub_updates, sub_scale = _parse_subgradient(raw.get("subgradient", {}))
-        try:
-            return cls(
-                channel=channel, mcs_preset=mcs_preset, n_mcs=n_mcs,
-                utility=util, sweep_variable=sweep_var, sweep_values=sweep_vals,
-                n_trials=int(raw.get("n_trials", 50)),
-                seed=int(raw.get("seed", 0)),
-                kappa=(None if raw.get("kappa") is None else float(raw["kappa"])),
-                n_atoms=int(raw.get("n_atoms", 32)),
-                schemes=tuple(raw.get("schemes", ALL_SCHEMES)),
-                subgradient_updates=sub_updates, subgradient_scale=sub_scale)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        """Parse a JSON-shaped config; every error names the field's path.
+
+        Also checks that the utility can be realized at every sweep value.
+        """
+        top = _section(raw, "", _ROOT_FIELDS)
+        ch = _section(top["channel"], "channel", _CHANNEL_FIELDS)
+        mcs = _section(top["mcs"], "mcs", _MCS_FIELDS)
+        sweep = _section(top["sweep"], "sweep", _SWEEP_FIELDS)
+        sub = _section(top["subgradient"], "subgradient", _SUBGRADIENT_FIELDS)
+        cfg = cls(
+            channel=_at_path("channel", lambda: ChannelConfig(**ch)),
+            mcs_preset=mcs["preset"], n_mcs=mcs["n_mcs"],
+            utility=UtilityConfig(**_section(top["utility"], "utility",
+                                             _UTILITY_FIELDS)),
+            sweep_variable=sweep["variable"], sweep_values=sweep["values"],
+            n_trials=top["n_trials"], seed=top["seed"], kappa=top["kappa"],
+            n_atoms=top["n_atoms"], schemes=top["schemes"],
+            subgradient_updates=sub["updates"], subgradient_scale=sub["scale"])
+        for value in cfg.sweep_values:
+            swept = _at_path("sweep.values", lambda: cfg.at_sweep_value(value))
+            _at_path("utility",
+                     lambda: swept.utility.realize(swept.channel.n_users))
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -203,63 +213,80 @@ class ScenarioConfig:
             return replace(self, channel=ch)
         # weight_w1
         if not self.utility.class_weights:
-            raise ConfigError("sweep.variable weight_w1 requires "
+            raise ConfigError("sweep.variable: weight_w1 requires "
                               "utility.class_weights")
         cw = (float(value),) + tuple(self.utility.class_weights[1:])
         return replace(self, utility=replace(self.utility, class_weights=cw))
 
 
-def _reject_unknown(d: dict, allowed: set, prefix: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {prefix}{key!r}")
-
-
-def _parse_channel(raw: dict) -> ChannelConfig:
-    _reject_unknown(raw, {"n_subchannels", "n_users", "tap_count",
-                          "tap_variance", "snr_db", "pilot_snr_db"}, "channel.")
+def _at_path(path: str, fn):
+    """fn(), with its ValueError/TypeError reported as a ConfigError at path."""
     try:
-        return ChannelConfig(
-            n_subchannels=int(raw.get("n_subchannels", 16)),
-            n_users=int(raw.get("n_users", 4)),
-            tap_count=int(raw.get("tap_count", 2)),
-            tap_variance=(None if raw.get("tap_variance") is None
-                          else float(raw["tap_variance"])),
-            snr_db=float(raw.get("snr_db", 10.0)),
-            pilot_snr_db=float(raw.get("pilot_snr_db", -10.0)))
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+        return fn()
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_mcs(raw: dict) -> tuple[str, int]:
-    _reject_unknown(raw, {"preset", "n_mcs"}, "mcs.")
-    return str(raw.get("preset", "qam")), int(raw.get("n_mcs", 4))
+def _section(raw, name: str, fields: dict) -> dict:
+    """One config object parsed field by field.
+
+    ``fields`` maps every allowed key to (parser, default); a missing key
+    takes the default.  A non-object, an unknown key and a value its parser
+    rejects all raise a ConfigError naming the path.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name or 'config root'}: must be an object, "
+                          f"got {type(raw).__name__}")
+    prefix = f"{name}." if name else ""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"unknown config key {prefix}{key!r}")
+    out = {}
+    for key, (parse, default) in fields.items():
+        out[key] = (_at_path(prefix + key, lambda: parse(raw[key]))
+                    if key in raw else default)
+    return out
 
 
-def _parse_utility(raw: dict) -> UtilityConfig:
-    _reject_unknown(raw, {"variant", "class_weights", "weights", "scale"},
-                    "utility.")
-    return UtilityConfig(
-        variant=str(raw.get("variant", "goodput")),
-        class_weights=(None if raw.get("class_weights") is None
-                       else tuple(float(v) for v in raw["class_weights"])),
-        weights=(None if raw.get("weights") is None
-                 else tuple(float(v) for v in raw["weights"])),
-        scale=float(raw.get("scale", 1.0)))
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
 
 
-def _parse_sweep(raw: dict) -> tuple[str, tuple[float, ...]]:
-    _reject_unknown(raw, {"variable", "values"}, "sweep.")
-    values = raw.get("values", [-10.0])
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError("sweep.values: must be a non-empty list")
-    return (str(raw.get("variable", "pilot_snr_db")),
-            tuple(float(v) for v in values))
+def _list_of(parse):
+    def parse_list(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"must be a list, got {type(value).__name__}")
+        return tuple(parse(v) for v in value)
+    return parse_list
 
 
-def _parse_subgradient(raw: dict) -> tuple[int, float]:
-    _reject_unknown(raw, {"updates", "scale"}, "subgradient.")
-    return int(raw.get("updates", 15)), float(raw.get("scale", 1.0))
+def _raw(value):
+    return value
+
+
+_ROOT_FIELDS = {
+    "channel": (_raw, {}), "mcs": (_raw, {}), "utility": (_raw, {}),
+    "sweep": (_raw, {}), "subgradient": (_raw, {}),
+    "n_trials": (int, 50), "seed": (int, 0), "kappa": (_optional(float), None),
+    "n_atoms": (int, 32), "schemes": (_list_of(str), ALL_SCHEMES),
+}
+_CHANNEL_FIELDS = {
+    "n_subchannels": (int, 16), "n_users": (int, 4), "tap_count": (int, 2),
+    "tap_variance": (_optional(float), None), "snr_db": (float, 10.0),
+    "pilot_snr_db": (float, -10.0),
+}
+_MCS_FIELDS = {"preset": (str, "qam"), "n_mcs": (int, 4)}
+_UTILITY_FIELDS = {
+    "variant": (str, "goodput"),
+    "class_weights": (_optional(_list_of(float)), None),
+    "weights": (_optional(_list_of(float)), None),
+    "scale": (float, 1.0),
+}
+_SWEEP_FIELDS = {"variable": (str, "pilot_snr_db"),
+                 "values": (_list_of(float), (-10.0,))}
+_SUBGRADIENT_FIELDS = {"updates": (int, 15), "scale": (float, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +399,7 @@ def run_trial(cfg: ScenarioConfig, sweep_index: int, trial: int) -> list[TrialRe
             trace = subgradient_baseline(parts["icsi"],
                                          swept.subgradient_updates,
                                          swept.subgradient_scale)
-            alloc = allocation_at_mu(parts["icsi"], float(trace.mus[-1]))
+            alloc = evaluate_mu(parts["icsi"], float(trace.mus[-1])).alloc_min
             g, u = _metrics(parts["icsi"], alloc)
             record(scheme, g, u, iters=swept.subgradient_updates,
                    dt=time.perf_counter() - t0)

@@ -10,6 +10,7 @@ exponential pricing 1-exp(-w*g), and capacity-log scale*log(1-log(1-g)) --
 so that U' > 0 and U'' <= 0 are guaranteed by construction and the dual
 solver's monotone root-finds stay safe.  The capacity-log variant with
 a = b = r = 1 turns expected utility into scale * E{log(1 + p*gamma)}.
+U and U' are evaluated only inside ``kernels``, from the integer codes below.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .snr import SnrDistribution
 
 UTILITY_CODES = {
     "goodput": 0,
@@ -121,85 +120,5 @@ class UtilitySpec:
     def n_users(self) -> int:
         return self.param.size
 
-    def value(self, g, k: int = 0):
-        """U(g); g may be a scalar or array, k selects the user parameter."""
-        g = np.asarray(g, dtype=float)
-        theta = self.param[k]
-        if self.variant == "goodput":
-            return g + 0.0
-        if self.variant == "weighted_goodput":
-            return theta * g
-        if self.variant == "exp_pricing":
-            return -np.expm1(-theta * g)
-        if np.any(g >= 1.0):
-            raise ValueError("capacity-log utility requires goodput < 1")
-        return theta * np.log(1.0 - np.log1p(-g))
-
-    def derivative(self, g, k: int = 0):
-        g = np.asarray(g, dtype=float)
-        theta = self.param[k]
-        if self.variant == "goodput":
-            return np.ones_like(g)
-        if self.variant == "weighted_goodput":
-            return np.full_like(g, theta)
-        if self.variant == "exp_pricing":
-            return theta * np.exp(-theta * g)
-        if np.any(g >= 1.0):
-            raise ValueError("capacity-log utility requires goodput < 1")
-        one_m_g = 1.0 - g
-        return theta / (one_m_g * (1.0 - np.log(one_m_g)))
-
     def __repr__(self):  # pragma: no cover
         return f"UtilitySpec({self.variant!r}, K={self.n_users})"
-
-
-def goodput(p, gamma, mcs: tuple[float, float, float]):
-    """(1 - a*exp(-b*p*gamma)) * r, elementwise over p and gamma."""
-    a, b, r = mcs
-    return (1.0 - a * np.exp(-b * np.asarray(p, dtype=float) * gamma)) * r
-
-
-def expected_utility(dist: SnrDistribution, p, mcs, util: UtilitySpec,
-                     k: int = 0):
-    """E{ U(g(p, gamma)) } under the atom distribution; exact finite sum.
-
-    ``p`` may be a scalar or a vector of powers (one expectation per entry).
-    Evaluated through the same saturation-safe forms as the batch kernels.
-    """
-    from .kernels import _u_value
-
-    a, b, r = mcs
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    s = b * np.multiply.outer(p, dist.values)
-    vals = _u_value(util.code, util.param[k], a, r, s) @ dist.weights
-    return float(vals) if scalar else vals
-
-
-def marginal_value(dist: SnrDistribution, p, mcs, util: UtilitySpec,
-                   k: int = 0):
-    """d/dp of expected utility: a*b*r * E{ U'(g) * gamma * exp(-b*p*gamma) }.
-
-    Strictly decreasing in p, which is what makes the power root-find safe.
-    """
-    from .kernels import _u_der_t
-
-    a, b, r = mcs
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    s = b * np.multiply.outer(p, dist.values)
-    der_t = _u_der_t(util.code, util.param[k], a, r, s)
-    out = a * b * r * ((dist.values * der_t) @ dist.weights)
-    return float(out) if scalar else out
-
-
-def indicator_cost(share: float, actual_power: float, dist: SnrDistribution,
-                   mcs, util: UtilitySpec, k: int = 0) -> float:
-    """share * F(share, x): the perspective-style objective term.
-
-    F is -E{U(g(x/share, gamma))} for share > 0 and 0 at share = 0; the
-    product is jointly convex in (share, x), which the property tests check.
-    """
-    if share <= 0.0:
-        return 0.0
-    return -share * expected_utility(dist, actual_power / share, mcs, util, k)

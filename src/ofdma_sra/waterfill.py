@@ -55,7 +55,7 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     roots = partial(_run_kernel, "power_roots", packed)
     br = _bisect_budget(roots, lambda p: p.sum() > inst.p_con,
                         mu_min, mu_max, kappa)
-    _, lam = _blend_weight(br, roots, np.sum, inst.p_con)
+    lam = _blend_weight(br, roots, np.sum, inst.p_con)
     p_lo, p_hi = br.at_lo, br.at_hi
     p_blend = lam * p_hi + (1.0 - lam) * p_lo
 

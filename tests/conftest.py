@@ -26,13 +26,19 @@ def point_mass_instance(gammas, p_con, mcs=None, utility=None):
     return ProblemInstance(mcs=mcs, utility=utility, dists=dists, p_con=p_con)
 
 
+def combo_instance(dist, mcs=(1.0, 0.5, 2.0), utility=None, p_con=1.0):
+    """N = K = M = 1: one SNR law, one (a, b, r) entry, one utility."""
+    a, b, r = mcs
+    if utility is None:
+        utility = UtilitySpec.goodput(1)
+    return ProblemInstance(mcs=McsTable(a=[[a]], b=[[b]], r=[[r]]),
+                           utility=utility, dists=[[dist]], p_con=p_con)
+
+
 def single_combo_instance(gamma=1.0, a=1.0, b=0.5, r=2.0, p_con=1.0):
-    """N = K = M = 1 with one point mass (the hand-checkable workhorse)."""
-    return ProblemInstance(
-        mcs=McsTable(a=[[a]], b=[[b]], r=[[r]]),
-        utility=UtilitySpec.goodput(1),
-        dists=[[SnrDistribution.point_mass(gamma)]],
-        p_con=p_con)
+    """One point mass (the hand-checkable workhorse)."""
+    return combo_instance(SnrDistribution.point_mass(gamma), (a, b, r),
+                          p_con=p_con)
 
 
 def atom_instance(seed, n_sub=3, n_usr=3, n_mcs=3, n_atoms=8, p_con=30.0,

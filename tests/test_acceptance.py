@@ -4,22 +4,20 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to get one PASS line per
 criterion (the line carries the measured margin).
 """
 
-import itertools
 import time
 
 import numpy as np
 import pytest
 
-from ofdma_sra import (ChannelConfig, McsTable,
-                       ScenarioConfig, SnrDistribution, UtilitySpec,
-                       bisection_mu_trace, brute_force_dsra, default_kappa,
-                       draw_channel, dsra_gap_bound, grid_power_oracle,
-                       indicator_cost, mmse_estimate, mu_bounds, run_trial,
-                       solve_csra, solve_dsra, subgradient_baseline,
-                       total_power)
-from ofdma_sra.csra import iteration_bound
+from ofdma_sra import (ChannelConfig, McsTable, ScenarioConfig,
+                       SnrDistribution, UtilitySpec, default_kappa,
+                       draw_channel, dsra_gap_bound, evaluate_mu,
+                       mmse_estimate, mu_bounds, run_trial, solve_csra,
+                       solve_dsra, subgradient_baseline)
 from ofdma_sra.experiments import build_trial_instances
-from conftest import atom_instance, point_mass_instance
+from conftest import atom_instance, combo_instance, point_mass_instance
+from reference import (bisection_mids, brute_force_dsra, grid_power_oracle,
+                       indicator_cost, indicators, iteration_bound)
 
 P_CON = 4.0
 N_INSTANCES = 20
@@ -34,17 +32,6 @@ def small_instances(seed=INSTANCE_SEED, count=N_INSTANCES, lo=0.3, hi=3.0):
         g = rng.uniform(lo, hi, size=(2, 2))
         out.append(point_mass_instance(g, p_con=P_CON, mcs=McsTable.qam(2, 2)))
     return out
-
-
-def all_discrete_indicators(inst):
-    opts = [None] + [(k, m) for k in range(inst.n_users)
-                     for m in range(inst.n_mcs)]
-    for combo in itertools.product(opts, repeat=inst.n_subchannels):
-        ind = np.zeros(inst.shape)
-        for n, km in enumerate(combo):
-            if km:
-                ind[n, km[0], km[1]] = 1.0
-        yield ind
 
 
 DESK = ScenarioConfig(
@@ -100,7 +87,7 @@ def test_criterion_01_csra_vs_grid_oracle():
     for inst in small_instances():
         res = solve_csra(inst)
         u_oracle = max(grid_power_oracle(inst, ind, grid_points)[1]
-                       for ind in all_discrete_indicators(inst))
+                       for ind in indicators(inst))
         grid_slack = 2.0 * (inst.p_con / grid_points) * res.mu_max
         upper = (res.mu_hi - res.mu_lo) * inst.p_con + grid_slack
         diff = u_oracle - res.utility
@@ -157,7 +144,7 @@ def test_criterion_03_total_power_monotone():
     for inst in insts:
         lo, hi = mu_bounds(inst)
         grid = np.linspace(lo, hi, 200)
-        xs = np.array([total_power(inst, m) for m in grid])
+        xs = np.array([evaluate_mu(inst, m).total_power_min for m in grid])
         worst = max(worst, float(np.diff(xs).max()))
         assert np.all(np.diff(xs) <= 1e-9)
     print(f"[criterion 3] PASS: X*(mu) nonincreasing on 10 instances "
@@ -303,8 +290,9 @@ def test_criterion_08_mmse_correctness():
 def test_criterion_09_convergence_rate():
     parts = build_trial_instances(DESK, seed=9)
     inst = parts["icsi"]
-    mu_ref = bisection_mu_trace(inst, 60)[-1]
-    err_bisect = abs(bisection_mu_trace(inst, 15)[-1] - mu_ref)
+    mids = bisection_mids(inst)
+    mu_ref = mids[-1]
+    err_bisect = abs(mids[14] - mu_ref)
     trace = subgradient_baseline(inst, 15, scale=DESK.subgradient_scale)
     err_sub = abs(trace.mus[-1] - mu_ref)
     assert err_bisect <= err_sub / 10.0
@@ -321,12 +309,14 @@ def test_criterion_10_perspective_convexity():
              SnrDistribution([0.4, 1.0, 2.1], [0.25, 0.5, 0.25])]
     utils = [UtilitySpec.goodput(1), UtilitySpec.exp_pricing([1.2])]
     mcs_entries = [(1.0, 0.5, 2.0), (0.8, 0.3, 3.0)]
+    insts = {(i, j, l): combo_instance(d, e, u)
+             for i, d in enumerate(dists) for j, u in enumerate(utils)
+             for l, e in enumerate(mcs_entries)}
     n_pairs = 10_000
     worst = -np.inf
     for _ in range(n_pairs):
-        d = dists[rng.integers(len(dists))]
-        u = utils[rng.integers(len(utils))]
-        e = mcs_entries[rng.integers(len(mcs_entries))]
+        inst = insts[(rng.integers(len(dists)), rng.integers(len(utils)),
+                      rng.integers(len(mcs_entries)))]
         i1, i2 = rng.uniform(0.0, 1.0, 2)
         if rng.random() < 0.15:
             i1 = 0.0
@@ -334,9 +324,9 @@ def test_criterion_10_perspective_convexity():
             i2 = 0.0
         x1 = 0.0 if i1 == 0.0 else rng.uniform(0.0, 6.0)
         x2 = 0.0 if i2 == 0.0 else rng.uniform(0.0, 6.0)
-        mid = indicator_cost(0.5 * (i1 + i2), 0.5 * (x1 + x2), d, e, u)
-        ends = 0.5 * (indicator_cost(i1, x1, d, e, u)
-                      + indicator_cost(i2, x2, d, e, u))
+        mid = indicator_cost(inst, 0.5 * (i1 + i2), 0.5 * (x1 + x2))
+        ends = 0.5 * (indicator_cost(inst, i1, x1)
+                      + indicator_cost(inst, i2, x2))
         violation = mid - ends
         worst = max(worst, violation)
         assert violation <= 1e-9

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from ofdma_sra import (bisection_mu_trace, fp_rus_baseline, mu_bounds,
-                       perfect_csi_run, subgradient_baseline)
+from ofdma_sra import (allocation_utility, evaluate_mu, fp_rus_baseline,
+                       mu_bounds, solve_csra, subgradient_baseline)
 from conftest import atom_instance, point_mass_instance, single_combo_instance
+from reference import bisection_mids
 
 
 def test_fp_rus_single_user_mcs_choice():
@@ -39,15 +40,10 @@ def test_fp_rus_allocation_shape():
                   == pytest.approx(inst.p_con / 5))
 
 
-def test_perfect_csi_rejects_atoms():
-    inst = atom_instance(seed=1)
-    with pytest.raises(ValueError):
-        perfect_csi_run(inst)
-
-
 def test_perfect_csi_single_combo_power():
+    # the CSRA-PCSI scheme: the continuous solve on a point-mass instance
     inst = single_combo_instance(p_con=2.5)
-    res = perfect_csi_run(inst, kappa=1e-6)
+    res = solve_csra(inst, kappa=1e-6)
     assert res.alloc.total_power == pytest.approx(2.5, rel=1e-6)
 
 
@@ -74,9 +70,9 @@ def test_subgradient_step_law():
 
 def test_bisection_beats_subgradient():
     inst = atom_instance(seed=8, n_sub=4, n_usr=2, n_mcs=3, p_con=30.0)
-    mids = bisection_mu_trace(inst, 60)
+    mids = bisection_mids(inst)
     mu_ref = mids[-1]
-    err_bisect = abs(bisection_mu_trace(inst, 15)[-1] - mu_ref)
+    err_bisect = abs(mids[14] - mu_ref)
     trace = subgradient_baseline(inst, 15)
     err_sub = abs(trace.mus[-1] - mu_ref)
     assert err_bisect <= err_sub / 10
@@ -85,7 +81,6 @@ def test_bisection_beats_subgradient():
 def test_subgradient_utility_matches_allocation():
     inst = single_combo_instance(p_con=1.0)
     trace = subgradient_baseline(inst, n_updates=3, scale=0.1)
-    from ofdma_sra import allocation_at_mu, allocation_utility
     for mu, util in zip(trace.mus, trace.utilities):
-        assert util == pytest.approx(
-            allocation_utility(inst, allocation_at_mu(inst, mu)), abs=1e-12)
+        alloc = evaluate_mu(inst, mu).alloc_min
+        assert util == pytest.approx(allocation_utility(inst, alloc), abs=1e-12)

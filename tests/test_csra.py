@@ -5,8 +5,8 @@ import pytest
 
 from ofdma_sra import (allocation_utility, default_kappa, mu_bounds,
                        solve_csra)
-from ofdma_sra.csra import iteration_bound
 from conftest import atom_instance, point_mass_instance, single_combo_instance
+from reference import iteration_bound
 
 
 def test_single_combination_closed_form():

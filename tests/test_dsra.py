@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from ofdma_sra import (McsTable, ProblemInstance, SnrDistribution, UtilitySpec,
-                       brute_force_dsra, default_kappa, dsra_gap_bound,
-                       mu_bounds, power_root, solve_csra, solve_dsra,
-                       solve_fixed_allocation, v_metric)
+                       default_kappa, dsra_gap_bound, evaluate_mu, mu_bounds,
+                       solve_csra, solve_dsra, solve_fixed_allocation)
 from conftest import atom_instance, point_mass_instance, single_combo_instance
-
-U1 = UtilitySpec.goodput(1)
+from reference import brute_force_dsra
 
 
 def test_fixed_allocation_single_combo():
@@ -51,14 +49,13 @@ def test_fixed_allocation_empty():
 def test_brute_force_hypothesis_counts():
     inst = single_combo_instance(p_con=1.0)
     res = brute_force_dsra(inst)
-    assert res.n_hypotheses == 2
     assert res.candidate_lagrangians.size == 2
     assert res.utility > 0.0  # singleton beats the empty allocation
 
     inst2 = point_mass_instance([[1.0, 0.7], [1.3, 0.9]], p_con=4.0,
                                 mcs=McsTable.qam(2, 1))
     res2 = brute_force_dsra(inst2)
-    assert res2.n_hypotheses == (2 * 1 + 1) ** 2  # 9
+    assert res2.candidate_lagrangians.size == (2 * 1 + 1) ** 2  # 9
 
 
 def test_brute_force_cap():
@@ -101,9 +98,7 @@ def make_tie_instance():
                             dists=dists, p_con=6.0)
 
     def v_of(k, mu):
-        d = dists[0][k]
-        e = mcs.entry(k, 0)
-        return v_metric(d, e, probe.utility, mu, power_root(d, e, probe.utility, mu, k), k)
+        return evaluate_mu(probe, mu).v[0, k, 0]
 
     lo, hi = 0.05, 0.5
     assert (v_of(0, lo) - v_of(1, lo)) * (v_of(0, hi) - v_of(1, hi)) < 0
@@ -114,8 +109,7 @@ def make_tie_instance():
         else:
             hi = mid
     mu_tie = 0.5 * (lo + hi)
-    p0 = power_root(dists[0][0], mcs.entry(0, 0), probe.utility, mu_tie, 0)
-    p1 = power_root(dists[0][1], mcs.entry(1, 0), probe.utility, mu_tie, 1)
+    p0, p1 = evaluate_mu(probe, mu_tie).p_star[0, :, 0]
     assert abs(p0 - p1) > 0.1, "crossing powers must differ for a real jump"
     p_con = 0.5 * (p0 + p1)
     return ProblemInstance(mcs=mcs, utility=UtilitySpec.goodput(2),

@@ -3,26 +3,40 @@
 import numpy as np
 import pytest
 
-from ofdma_sra import (AllocationState, MAX_POWER, MIN_POWER, SnrDistribution,
-                       UtilitySpec, allocation_at_mu, allocation_utility,
-                       exhaustive_lagrangian_min, indicator_cost,
-                       lagrangian, mu_bounds, power_root, total_power,
-                       v_metric, winner_sets)
-from conftest import (closed_form_power, closed_form_v, point_mass_instance,
-                      single_combo_instance)
+from ofdma_sra import (AllocationState, SnrDistribution, UtilitySpec,
+                       allocation_utility, evaluate_mu, mu_bounds)
+from ofdma_sra.dual import _tie_mask
+from conftest import (closed_form_power, closed_form_v, combo_instance,
+                      point_mass_instance, single_combo_instance)
+from reference import exhaustive_lagrangian_min, indicator_cost, lagrangian
 
 MCS = (1.0, 0.5, 2.0)
-U1 = UtilitySpec.goodput(1)
 LN4 = 2 * np.log(2.0)
 
 
+def total_power(inst, mu):
+    """X*(mu) under the min-power tie rule."""
+    return evaluate_mu(inst, mu).total_power_min
+
+
+def winner_sets(inst, mu):
+    """Per subchannel, the (user, MCS) pairs tied for the least score at mu."""
+    v2 = evaluate_mu(inst, mu).v.reshape(inst.n_subchannels, -1)
+    return [[divmod(int(i), inst.n_mcs) for i in np.flatnonzero(row)]
+            for row in _tie_mask(v2)]
+
+
 def test_power_root_closed_form():
-    d = SnrDistribution.point_mass(1.0)
-    assert power_root(d, MCS, U1, 0.5) == pytest.approx(LN4, rel=1e-8)
-    assert power_root(d, MCS, U1, 1.0) == 0.0    # threshold a b r E{gamma}
-    assert power_root(d, MCS, U1, 1.5) == 0.0
+    inst = single_combo_instance()
+
+    def root(mu):
+        return evaluate_mu(inst, mu).p_star[0, 0, 0]
+
+    assert root(0.5) == pytest.approx(LN4, rel=1e-8)
+    assert root(1.0) == 0.0    # threshold a b r E{gamma}
+    assert root(1.5) == 0.0
     with pytest.raises(ValueError):
-        power_root(d, MCS, U1, np.nan)
+        evaluate_mu(inst, np.nan)
 
 
 def test_power_root_matches_closed_form_on_grid(rng):
@@ -30,37 +44,34 @@ def test_power_root_matches_closed_form_on_grid(rng):
         gamma = rng.uniform(0.2, 3.0)
         a, b, r = 1.0, rng.uniform(0.1, 1.0), rng.uniform(1.0, 4.0)
         mu = rng.uniform(1e-3, 1.2)
-        d = SnrDistribution.point_mass(gamma)
-        got = power_root(d, (a, b, r), U1, mu)
+        inst = single_combo_instance(gamma, a, b, r)
+        got = evaluate_mu(inst, mu).p_star[0, 0, 0]
         want = closed_form_power(gamma, a, b, r, mu)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
 
 def test_power_root_continuity_and_monotone():
-    d = SnrDistribution([0.5, 1.5], [0.5, 0.5])
+    inst = combo_instance(SnrDistribution([0.5, 1.5], [0.5, 0.5]))
     mus = np.linspace(0.05, 0.9, 400)
-    roots = np.array([power_root(d, MCS, U1, m) for m in mus])
+    roots = np.array([evaluate_mu(inst, m).p_star[0, 0, 0] for m in mus])
     assert np.all(np.diff(roots) <= 1e-9)            # nonincreasing in mu
     assert np.max(np.abs(np.diff(roots))) < 0.25     # no jumps on a fine grid
 
 
 def test_v_metric_hand_value():
-    d = SnrDistribution.point_mass(1.0)
-    p = power_root(d, MCS, U1, 0.5)
+    inst = single_combo_instance()
     # -1.0 + 0.5 * 2 ln 2 = ln 2 - 1
-    assert v_metric(d, MCS, U1, 0.5, p) == pytest.approx(np.log(2) - 1, abs=1e-8)
-    assert v_metric(d, MCS, U1, 0.5, 0.0) == 0.0  # a=1: -u(0) = 0
+    assert evaluate_mu(inst, 0.5).v[0, 0, 0] == pytest.approx(np.log(2) - 1,
+                                                              abs=1e-8)
+    assert evaluate_mu(inst, 1.5).v[0, 0, 0] == 0.0  # p* = 0, a=1: -u(0) = 0
 
 
 def test_winner_sets_singleton_and_tie():
     inst = single_combo_instance(p_con=4.0)
-    ws = winner_sets(inst, 0.5)
-    assert ws[0].pairs == ((0, 0),)
+    assert winner_sets(inst, 0.5)[0] == [(0, 0)]
 
     inst2 = point_mass_instance([[1.0, 1.0]], p_con=4.0)  # identical users
-    ws2 = winner_sets(inst2, 0.3)
-    pairs = ws2[0].pairs
-    ks = {k for k, _ in pairs}
+    ks = {k for k, _ in winner_sets(inst2, 0.3)[0]}
     assert ks == {0, 1}  # both users tie by symmetry
 
 
@@ -75,18 +86,18 @@ def test_winner_sets_against_v_table(rng):
             table = np.array([[closed_form_v(gammas[n, k], *inst.mcs.entry(k, m), mu)
                                for m in range(inst.n_mcs)]
                               for k in range(inst.n_users)])
-            if not ws[n].pairs:
+            if not ws[n]:
                 assert table.min() > -1e-9
                 continue
-            k, m = ws[n].pairs[0]
+            k, m = ws[n][0]
             assert table[k, m] == pytest.approx(table.min(), abs=1e-7)
 
 
 def test_empty_winner_set_above_threshold():
     inst = single_combo_instance(p_con=4.0)
     ws = winner_sets(inst, 2.0)  # above mu_max = 1
-    assert ws[0].pairs == ()
-    alloc = allocation_at_mu(inst, 2.0)
+    assert ws[0] == []
+    alloc = evaluate_mu(inst, 2.0).alloc_min
     assert alloc.total_power == 0.0
     assert not alloc.indicator.any()
 
@@ -127,7 +138,7 @@ def test_allocation_matches_exhaustive_lagrangian(rng):
         g = np.random.default_rng(seed).uniform(0.3, 3.0, size=(2, 2))
         inst = point_mass_instance(g, p_con=4.0)
         mu = np.random.default_rng(seed + 100).uniform(0.05, 0.6)
-        alloc = allocation_at_mu(inst, mu, MIN_POWER)
+        alloc = evaluate_mu(inst, mu).alloc_min
         _, _, l_oracle = exhaustive_lagrangian_min(inst, mu)
         l_solver = lagrangian(inst, mu, alloc)
         assert l_solver == pytest.approx(l_oracle, abs=1e-8)
@@ -144,19 +155,18 @@ def test_total_power_monotone_and_limits():
     assert np.all(np.diff(xs) <= 1e-9)
 
 
-def test_min_max_tie_rules_and_lexicographic():
+def test_min_power_tie_rule_is_lexicographic():
     # two identical users: equal powers, lexicographic pick -> user 0
     inst = point_mass_instance([[1.0, 1.0]], p_con=4.0)
-    a_min = allocation_at_mu(inst, 0.3, MIN_POWER)
-    a_max = allocation_at_mu(inst, 0.3, MAX_POWER)
+    a_min = evaluate_mu(inst, 0.3).alloc_min
     assert a_min.indicator[0, 0].sum() == 1.0
-    assert np.array_equal(a_min.indicator, a_max.indicator)
+    assert a_min.indicator.sum() == 1.0
 
 
 def test_dual_minimizer_beats_random_feasible(rng):
     inst = point_mass_instance(rng.uniform(0.3, 2.5, size=(2, 2)), p_con=4.0)
     mu = 0.25
-    best = lagrangian(inst, mu, allocation_at_mu(inst, mu, MIN_POWER))
+    best = lagrangian(inst, mu, evaluate_mu(inst, mu).alloc_min)
     n_sub, n_usr, n_mcs = inst.shape
     for _ in range(1000):
         ind = np.zeros(inst.shape)
@@ -170,7 +180,7 @@ def test_dual_minimizer_beats_random_feasible(rng):
 
 
 def _winner_identity(inst, mu):
-    alloc = allocation_at_mu(inst, mu, MIN_POWER)
+    alloc = evaluate_mu(inst, mu).alloc_min
     flat = alloc.indicator.reshape(inst.n_subchannels, -1)
     return tuple(int(np.argmax(row)) if row.any() else -1 for row in flat)
 
@@ -205,11 +215,11 @@ def test_jump_structure_only_at_ties():
             else:
                 m_hi = mid
         ws = winner_sets(inst, 0.5 * (m_lo + m_hi))
-        assert any(len(w.pairs) >= 2 for w in ws)
+        assert any(len(w) >= 2 for w in ws)
 
 
 def test_indicator_cost_convexity(rng):
-    d = SnrDistribution([0.5, 1.5], [0.5, 0.5])
+    inst = combo_instance(SnrDistribution([0.5, 1.5], [0.5, 0.5]), MCS)
     for _ in range(200):
         i1, i2 = rng.uniform(0, 1, 2)
         if rng.random() < 0.2:
@@ -217,9 +227,9 @@ def test_indicator_cost_convexity(rng):
         x1, x2 = rng.uniform(0, 5, 2)
         if i1 == 0.0:
             x1 = 0.0
-        mid = indicator_cost(0.5 * (i1 + i2), 0.5 * (x1 + x2), d, MCS, U1)
-        ends = 0.5 * (indicator_cost(i1, x1, d, MCS, U1)
-                      + indicator_cost(i2, x2, d, MCS, U1))
+        mid = indicator_cost(inst, 0.5 * (i1 + i2), 0.5 * (x1 + x2))
+        ends = 0.5 * (indicator_cost(inst, i1, x1)
+                      + indicator_cost(inst, i2, x2))
         assert mid <= ends + 1e-9
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -36,15 +37,49 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig.from_dict(base)
 
 
+# (config, anchored ConfigError pattern naming the field's path)
+BAD_CONFIGS = [
+    ({"sweep": {"variable": "nope", "values": [1]}}, r"^sweep\.variable: "),
+    ({"sweep": {"values": [-10, -10]}}, r"^sweep\.values: duplicate"),
+    ({"sweep": {"values": ["a"]}}, r"^sweep\.values: "),
+    ({"sweep": {"values": []}}, r"^sweep\.values: "),
+    ({"sweep": {"variable": "n_users", "values": [0, 2]}}, r"^sweep\.values: "),
+    ({"sweep": {"variable": "weight_w1", "values": [0.5]}},
+     r"^sweep\.variable: weight_w1 requires utility\.class_weights"),
+    ({"n_trials": 0}, r"^n_trials: "),
+    ({"n_trials": "abc"}, r"^n_trials: "),
+    ({"kappa": -1}, r"^kappa: must be positive"),
+    ({"kappa": 0}, r"^kappa: must be positive"),
+    ({"schemes": ["WAT"]}, r"^schemes: unknown scheme 'WAT'"),
+    ({"schemes": "CSRA-ICSI"}, r"^schemes: must be a list"),
+    ({"channel": 5}, r"^channel: must be an object"),
+    ({"channel": {"n_users": "x"}}, r"^channel\.n_users: "),
+    ({"channel": {"n_subchannels": 2, "tap_count": 2}}, r"^channel: "),
+    ({"mcs": {"n_mcs": "x"}}, r"^mcs\.n_mcs: "),
+    ({"mcs": {"n_mcs": 0}}, r"^mcs\.n_mcs: must be at least 1"),
+    ({"utility": {"scale": "x"}}, r"^utility\.scale: "),
+    ({"utility": {"variant": "nope"}}, r"^utility\.variant: unknown variant"),
+    ({"utility": {"variant": "capacity_log"}},
+     r"^utility\.variant: capacity_log"),
+    ({"utility": {"variant": "exp_pricing"}}, r"^utility\.weights: "),
+    ({"utility": {"variant": "exp_pricing", "weights": [1.0, 2.0, 3.0]}},
+     r"^utility\.weights: expected 4 entries"),
+    ({"utility": {"variant": "weighted_goodput", "weights": [1.0, 1.0]},
+      "sweep": {"variable": "n_users", "values": [2, 3]}},
+     r"^utility\.weights: expected 3 entries"),
+    ({"utility": {"variant": "exp_pricing", "class_weights": [1.0, -2.0]}},
+     r"^utility: "),
+    ({"subgradient": {"updates": "x"}}, r"^subgradient\.updates: "),
+    ({"subgradient": {"updates": 0}},
+     r"^subgradient\.updates: must be at least 1"),
+    ([], r"^config root: must be an object"),
+]
+
+
 def test_config_field_errors():
-    with pytest.raises(ConfigError, match="sweep"):
-        ScenarioConfig.from_dict({"sweep": {"variable": "nope", "values": [1]}})
-    with pytest.raises(ConfigError, match="sweep.values"):
-        ScenarioConfig.from_dict({"sweep": {"values": [-10, -10]}})
-    with pytest.raises(ConfigError, match="n_trials"):
-        ScenarioConfig.from_dict({"n_trials": 0})
-    with pytest.raises(ConfigError, match="schemes"):
-        ScenarioConfig.from_dict({"schemes": ["WAT"]})
+    for raw, pattern in BAD_CONFIGS:
+        with pytest.raises(ConfigError, match=pattern):
+            ScenarioConfig.from_dict(raw)
 
 
 def test_trial_seed_derivation():
@@ -109,10 +144,10 @@ def test_weight_sweep_requires_class_weights():
         "n_trials": 1})
     swept = cfg.at_sweep_value(0.5)
     assert swept.utility.class_weights == (0.5, 1.0)
-    bad = ScenarioConfig.from_dict({
-        "sweep": {"variable": "weight_w1", "values": [0.5]}, "n_trials": 1})
+    # rejected while parsing, before any trial runs
     with pytest.raises(ConfigError):
-        bad.at_sweep_value(0.5)
+        ScenarioConfig.from_dict({
+            "sweep": {"variable": "weight_w1", "values": [0.5]}, "n_trials": 1})
 
 
 def test_pilot_trend_in_means():
@@ -192,6 +227,17 @@ def test_cli_config_error_exit_2(tmp_path):
     notjson = tmp_path / "bad.json"
     notjson.write_text("{nope")
     assert cli_main(["run", str(notjson), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_field_error_exit_2(tmp_path, capsys):
+    # every malformed config stops before any output, naming the field
+    for raw, pattern in BAD_CONFIGS:
+        cfg = write_config(tmp_path, raw)
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert re.search(pattern, err[len("config error: "):]), (raw, err)
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_file_exit_3(tmp_path):

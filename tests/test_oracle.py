@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ofdma_sra import (allocation_at_mu, exhaustive_lagrangian_min,
-                       grid_power_oracle, lagrangian, mu_bounds,
-                       solve_fixed_allocation)
+from ofdma_sra import evaluate_mu, mu_bounds, solve_fixed_allocation
 from conftest import point_mass_instance, single_combo_instance
+from reference import (exhaustive_lagrangian_min, grid_power_oracle,
+                       lagrangian)
 
 
 def test_grid_oracle_single_combo_matches_waterfill():
@@ -60,7 +60,7 @@ def test_exhaustive_min_agrees_with_greedy(rng):
         inst = point_mass_instance(g, p_con=4.0)
         mu = float(np.random.default_rng(seed + 50).uniform(0.05, 0.6))
         alloc, _, l_oracle = exhaustive_lagrangian_min(inst, mu)
-        l_greedy = lagrangian(inst, mu, allocation_at_mu(inst, mu))
+        l_greedy = lagrangian(inst, mu, evaluate_mu(inst, mu).alloc_min)
         assert l_greedy == pytest.approx(l_oracle, abs=1e-8)
 
 
@@ -69,7 +69,7 @@ def test_exhaustive_min_symmetric_degeneracy():
     mu = 0.3
     alloc, _, l_val = exhaustive_lagrangian_min(inst, mu)
     # swapping the tied users gives the same Lagrangian
-    swapped = allocation_at_mu(inst, mu)
+    swapped = evaluate_mu(inst, mu).alloc_min
     assert lagrangian(inst, mu, swapped) == pytest.approx(l_val, abs=1e-12)
 
 
