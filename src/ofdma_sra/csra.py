@@ -9,12 +9,13 @@ one-combination-per-subchannel allocation.
 
 The utility of the returned solution sits within (mu_hi - mu_lo) * P_con of
 the continuous optimum, so the bracket width kappa is a tunable optimality
-certificate.  After the blend is formed, the endpoint indicators are also
-re-solved to their fixed-allocation optima (cheap, one bisection over at
-most N active combinations each) and the best feasible candidate is
-returned; this never weakens the certificate -- every candidate is feasible
-and meets the budget -- and it guarantees that the discrete solver built on
-top can never report a utility above the continuous one.
+certificate.  Both endpoint indicators, empty ones included, are also
+water-filled to their fixed-allocation optima (one bisection over at most N
+active combinations each) into ``fixed_lo`` and ``fixed_hi``.  The best
+feasible of the blend and those water-fillings is returned; this never
+weakens the certificate -- every candidate is feasible and meets the budget
+-- and the discrete solver, which only ranks ``fixed_lo`` and ``fixed_hi``,
+can never report a utility above the continuous one.
 """
 
 from __future__ import annotations
@@ -48,14 +49,15 @@ class CsraResult:
     lam: float
     blend: AllocationState
     blend_utility: float
-    alloc: AllocationState      # best feasible candidate (blend or refined endpoint)
+    alloc: AllocationState      # best feasible candidate (blend or fixed_lo/hi)
     utility: float              # expected utility of `alloc`
     gap_bound: float            # (mu_hi - mu_lo) * P_con
     iterations: int             # bisection mu-updates
     budget_slack: bool
     degenerate_blend: bool      # blend lies in the discrete domain
-    refined: dict[bytes, FixedAllocationSolve] = field(repr=False,
-                                                       default_factory=dict)
+    # water-fillings of alloc_lo and alloc_hi; one object when the two agree
+    fixed_lo: FixedAllocationSolve = field(repr=False)
+    fixed_hi: FixedAllocationSolve = field(repr=False)
 
 
 def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
@@ -67,6 +69,8 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
 
     mu_min, mu_max = mu_bounds(inst)
     ev_lo = evaluate_mu(inst, mu_min)
+    water_fill = partial(solve_fixed_allocation, inst,
+                         kappa=refinement_kappa(mu_min, mu_max, kappa))
 
     if ev_lo.total_power_min < inst.p_con * (1.0 - 1e-6):
         # Budget does not bind at mu_min.  Reachable: atoms of a wide dynamic
@@ -78,13 +82,15 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         # root-find noise at the exactly-binding corner out of this branch.
         alloc = ev_lo.alloc_min
         util = allocation_utility(inst, alloc)
+        fixed = water_fill(alloc.indicator)
         return CsraResult(
             mu_min=mu_min, mu_max=mu_max, mu_lo=mu_min, mu_hi=mu_min,
             alloc_lo=alloc, alloc_hi=alloc, lam=0.0,
             blend=AllocationState(alloc.indicator.copy(),
                                   alloc.actual_power.copy(), discrete=True),
             blend_utility=util, alloc=alloc, utility=util, gap_bound=0.0,
-            iterations=0, budget_slack=True, degenerate_blend=True)
+            iterations=0, budget_slack=True, degenerate_blend=True,
+            fixed_lo=fixed, fixed_hi=fixed)
 
     evaluate = partial(evaluate_mu, inst)
     br = _bisect_budget(evaluate, lambda ev: ev.total_power_min >= inst.p_con,
@@ -92,23 +98,19 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     lam = _blend_weight(br, evaluate, lambda ev: ev.total_power_min, inst.p_con)
     mu_lo, mu_hi = br.lo, br.hi
     alloc_lo, alloc_hi = br.at_lo.alloc_min, br.at_hi.alloc_min
-    degenerate = (lam in (0.0, 1.0)
-                  or bool(np.array_equal(alloc_lo.indicator, alloc_hi.indicator)))
+    same_ends = bool(np.array_equal(alloc_lo.indicator, alloc_hi.indicator))
+    degenerate = lam in (0.0, 1.0) or same_ends
     blend = AllocationState(
         lam * alloc_hi.indicator + (1.0 - lam) * alloc_lo.indicator,
         lam * alloc_hi.actual_power + (1.0 - lam) * alloc_lo.actual_power,
         discrete=degenerate)
     blend_utility = allocation_utility(inst, blend)
 
-    refine_k = refinement_kappa(mu_min, mu_max, kappa)
-    refined: dict[bytes, FixedAllocationSolve] = {}
-    for cand in (alloc_lo, alloc_hi):
-        key = cand.indicator.tobytes()
-        if key not in refined and cand.indicator.any():
-            refined[key] = solve_fixed_allocation(inst, cand.indicator, refine_k)
+    fixed_lo = water_fill(alloc_lo.indicator)
+    fixed_hi = fixed_lo if same_ends else water_fill(alloc_hi.indicator)
 
     best_alloc, best_util = blend, blend_utility
-    for fs in refined.values():
+    for fs in (fixed_lo, fixed_hi):
         if fs.utility > best_util:
             best_util, best_alloc = fs.utility, fs.allocation()
 
@@ -118,4 +120,5 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         blend=blend, blend_utility=blend_utility,
         alloc=best_alloc, utility=best_util,
         gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
-        budget_slack=False, degenerate_blend=degenerate, refined=refined)
+        budget_slack=False, degenerate_blend=degenerate,
+        fixed_lo=fixed_lo, fixed_hi=fixed_hi)

@@ -4,12 +4,13 @@ Exact discrete solving is exponential: there are (KM+1)^N feasible
 indicators, each needing its own water-filling.
 
 The practical path rides on the continuous solver: its bracket-endpoint
-allocations are already discrete, so re-solving the (at most two) candidate
-indicators for their exact powers and keeping the one with the smaller
-fixed-allocation Lagrangian costs two extra water-fillings.  Whenever the
-continuous blend itself lies in the discrete domain the discrete problem is
-solved exactly (given the budget attained there); otherwise the utility
-shortfall is bounded by
+allocations are already discrete, and it hands over their water-fillings
+(``fixed_lo`` and ``fixed_hi``).  This module only ranks them, keeping the
+one with the smaller fixed-allocation Lagrangian.  Whenever the continuous
+blend itself lies in the discrete domain (or the budget does not bind) the
+blend's own end is the only candidate and the discrete problem is solved
+exactly (given the budget attained there); otherwise the utility shortfall
+is bounded by
 
     (mu* - mu_min) * (P_con - X_min(mu*)),
 
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csra import CsraResult, default_kappa, solve_csra
+from .csra import CsraResult, solve_csra
 from .dual import AllocationState, ProblemInstance, _tie_mask, evaluate_mu
-from .waterfill import refinement_kappa, solve_fixed_allocation
 
 
 @dataclass
@@ -73,39 +73,20 @@ def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
 
 def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
                csra_result: CsraResult | None = None) -> DsraResult:
-    """Continuous-solver-guided discrete solve (two candidate water-fillings)."""
+    """Rank the continuous solver's endpoint water-fillings."""
     if csra_result is None:
         csra_result = solve_csra(inst, kappa)
-    gap = dsra_gap_bound(inst, csra_result)
-
-    if csra_result.budget_slack or csra_result.degenerate_blend:
-        key = csra_result.blend.indicator.tobytes()
-        fs = csra_result.refined.get(key)
-        if fs is None and csra_result.blend.indicator.any():
-            refine_k = refinement_kappa(csra_result.mu_min, csra_result.mu_max,
-                                        csra_result.mu_hi - csra_result.mu_lo
-                                        or default_kappa(inst.p_con))
-            fs = solve_fixed_allocation(inst, csra_result.blend.indicator,
-                                        refine_k)
-        if fs is None:  # empty allocation (degenerate corner)
-            return DsraResult(
-                alloc=AllocationState.zeros(inst.shape), utility=0.0,
-                lagrangian=-csra_result.mu_hi * inst.p_con,
-                candidate_lagrangians=np.zeros(0), gap_bound=gap,
-                exact_from_continuous=True, csra=csra_result)
-        return DsraResult(
-            alloc=fs.allocation(), utility=fs.utility,
-            lagrangian=fs.lagrangian,
-            candidate_lagrangians=np.array([fs.lagrangian]), gap_bound=gap,
-            exact_from_continuous=True, csra=csra_result)
-
-    keys = [csra_result.alloc_lo.indicator.tobytes(),
-            csra_result.alloc_hi.indicator.tobytes()]
-    cands = [csra_result.refined[k] for k in keys]
-    lags = np.array([fs.lagrangian for fs in cands])
+    res = csra_result
+    exact = res.budget_slack or res.degenerate_blend
+    if exact:
+        cands = [res.fixed_hi if res.lam == 1.0 else res.fixed_lo]
+    else:
+        cands = [res.fixed_lo, res.fixed_hi]
     # least Lagrangian, then most utility, then the lower end
     best = min(cands, key=lambda fs: (fs.lagrangian, -fs.utility))
     return DsraResult(
         alloc=best.allocation(), utility=best.utility,
-        lagrangian=best.lagrangian, candidate_lagrangians=lags,
-        gap_bound=gap, exact_from_continuous=False, csra=csra_result)
+        lagrangian=best.lagrangian,
+        candidate_lagrangians=np.array([fs.lagrangian for fs in cands]),
+        gap_bound=dsra_gap_bound(inst, res), exact_from_continuous=exact,
+        csra=res)

@@ -144,19 +144,6 @@ class AllocationState:
         if self.indicator.shape != self.actual_power.shape or self.indicator.ndim != 3:
             raise ValueError("indicator and actual_power must share one (N,K,M) shape")
 
-    def validate(self, atol: float = 1e-9) -> None:
-        ind, x = self.indicator, self.actual_power
-        if np.any(ind < -atol) or np.any(ind > 1.0 + atol):
-            raise ValueError("indicator entries outside [0, 1]")
-        if np.any(ind.sum(axis=(1, 2)) > 1.0 + atol):
-            raise ValueError("some subchannel is over-shared")
-        if np.any(x < -atol):
-            raise ValueError("negative actual power")
-        if np.any((ind == 0.0) & (np.abs(x) > atol)):
-            raise ValueError("power assigned to an unallocated combination")
-        if self.discrete and np.any((ind != 0.0) & (np.abs(ind - 1.0) > atol)):
-            raise ValueError("discrete allocation has fractional shares")
-
     @property
     def total_power(self) -> float:
         return float(self.actual_power.sum())
@@ -167,10 +154,6 @@ class AllocationState:
         mask = self.indicator > 0.0
         out[mask] = self.actual_power[mask] / self.indicator[mask]
         return out
-
-    @classmethod
-    def zeros(cls, shape: tuple[int, int, int], discrete: bool = True):
-        return cls(np.zeros(shape), np.zeros(shape), discrete=discrete)
 
 
 @dataclass(frozen=True)

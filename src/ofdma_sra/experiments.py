@@ -34,7 +34,8 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +210,7 @@ class ScenarioConfig:
             ch = replace(self.channel, snr_db=float(value))
             return replace(self, channel=ch)
         if self.sweep_variable == "n_users":
-            ch = replace(self.channel, n_users=int(value))
+            ch = replace(self.channel, n_users=_integer(value))
             return replace(self, channel=ch)
         # weight_w1
         if not self.utility.class_weights:
@@ -266,18 +267,35 @@ def _raw(value):
     return value
 
 
+def _integer(value) -> int:
+    """An integral number (3 or 3.0); a bool, a string or 2.5 is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 _ROOT_FIELDS = {
     "channel": (_raw, {}), "mcs": (_raw, {}), "utility": (_raw, {}),
     "sweep": (_raw, {}), "subgradient": (_raw, {}),
-    "n_trials": (int, 50), "seed": (int, 0), "kappa": (_optional(float), None),
-    "n_atoms": (int, 32), "schemes": (_list_of(str), ALL_SCHEMES),
+    "n_trials": (_integer, 50), "seed": (_integer, 0),
+    "kappa": (_optional(float), None), "n_atoms": (_integer, 32),
+    "schemes": (_list_of(str), ALL_SCHEMES),
 }
 _CHANNEL_FIELDS = {
-    "n_subchannels": (int, 16), "n_users": (int, 4), "tap_count": (int, 2),
+    "n_subchannels": (_integer, 16), "n_users": (_integer, 4),
+    "tap_count": (_integer, 2),
     "tap_variance": (_optional(float), None), "snr_db": (float, 10.0),
     "pilot_snr_db": (float, -10.0),
 }
-_MCS_FIELDS = {"preset": (str, "qam"), "n_mcs": (int, 4)}
+_MCS_FIELDS = {"preset": (str, "qam"), "n_mcs": (_integer, 4)}
 _UTILITY_FIELDS = {
     "variant": (str, "goodput"),
     "class_weights": (_optional(_list_of(float)), None),
@@ -285,8 +303,8 @@ _UTILITY_FIELDS = {
     "scale": (float, 1.0),
 }
 _SWEEP_FIELDS = {"variable": (str, "pilot_snr_db"),
-                 "values": (_list_of(float), (-10.0,))}
-_SUBGRADIENT_FIELDS = {"updates": (int, 15), "scale": (float, 1.0)}
+                 "values": (_list_of(_number), (-10.0,))}
+_SUBGRADIENT_FIELDS = {"updates": (_integer, 15), "scale": (float, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +424,6 @@ def run_trial(cfg: ScenarioConfig, sweep_index: int, trial: int) -> list[TrialRe
     return records
 
 
-def _run_trial_task(args) -> list[TrialRecord]:
-    cfg_dict, sweep_index, trial = args
-    return run_trial(ScenarioConfig.from_dict(cfg_dict), sweep_index, trial)
-
-
 # ---------------------------------------------------------------------------
 # scenario runner and outputs
 # ---------------------------------------------------------------------------
@@ -422,15 +435,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
 
-    tasks = [(s, t) for s in range(len(cfg.sweep_values))
-             for t in range(cfg.n_trials)]
+    sweeps, trials = zip(*product(range(len(cfg.sweep_values)),
+                                  range(cfg.n_trials)))
     if threads > 1:
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_run_trial_task,
-                                   [(cfg_dict, s, t) for s, t in tasks]))
+            chunks = list(pool.map(run_trial, repeat(cfg), sweeps, trials))
     else:
-        chunks = [run_trial(cfg, s, t) for s, t in tasks]
+        chunks = list(map(run_trial, repeat(cfg), sweeps, trials))
 
     records: list[TrialRecord] = []
     for chunk in chunks:

@@ -180,11 +180,6 @@ class SnrDistribution:
     def point_mass(cls, value: float) -> "SnrDistribution":
         return cls([value], [1.0])
 
-    @classmethod
-    def from_samples(cls, samples) -> "SnrDistribution":
-        samples = np.asarray(samples, dtype=float)
-        return cls(samples, np.full(samples.size, 1.0 / samples.size))
-
     @property
     def n_atoms(self) -> int:
         return self.values.size
@@ -192,10 +187,6 @@ class SnrDistribution:
     @property
     def mean(self) -> float:
         return float(np.dot(self.weights, self.values))
-
-    @property
-    def second_moment(self) -> float:
-        return float(np.dot(self.weights, self.values ** 2))
 
     def __repr__(self):  # pragma: no cover
         return f"SnrDistribution(n_atoms={self.n_atoms}, mean={self.mean:.4g})"

@@ -55,9 +55,6 @@ class McsTable:
     def n_mcs(self) -> int:
         return self.a.shape[1]
 
-    def entry(self, k: int, m: int) -> tuple[float, float, float]:
-        return float(self.a[k, m]), float(self.b[k, m]), float(self.r[k, m])
-
     @classmethod
     def qam(cls, n_users: int, n_mcs: int = 15) -> "McsTable":
         """Uncoded 2^(m+1)-QAM family: a=1, b=1.5/(2^(m+1)-1), r=m+1, m=1..n_mcs."""

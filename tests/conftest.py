@@ -54,6 +54,11 @@ def atom_instance(seed, n_sub=3, n_usr=3, n_mcs=3, n_atoms=8, p_con=30.0,
                            dists=dists, p_con=p_con)
 
 
+def mcs_entry(mcs, k, m):
+    """(a, b, r) of user k at MCS m, as floats."""
+    return float(mcs.a[k, m]), float(mcs.b[k, m]), float(mcs.r[k, m])
+
+
 # -- closed forms for point-mass SNR + goodput utility ----------------------
 
 

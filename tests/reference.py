@@ -22,6 +22,21 @@ GRID_MAX_ACTIVE = 4
 GRID_MAX_POINTS = 2000
 
 
+def check_allocation(alloc, atol=1e-9):
+    """Raise ValueError unless alloc is a feasible allocation state."""
+    ind, x = alloc.indicator, alloc.actual_power
+    if np.any(ind < -atol) or np.any(ind > 1.0 + atol):
+        raise ValueError("indicator entries outside [0, 1]")
+    if np.any(ind.sum(axis=(1, 2)) > 1.0 + atol):
+        raise ValueError("some subchannel is over-shared")
+    if np.any(x < -atol):
+        raise ValueError("negative actual power")
+    if np.any((ind == 0.0) & (np.abs(x) > atol)):
+        raise ValueError("power assigned to an unallocated combination")
+    if alloc.discrete and np.any((ind != 0.0) & (np.abs(ind - 1.0) > atol)):
+        raise ValueError("discrete allocation has fractional shares")
+
+
 def row_values(inst, kernel, row, p):
     """One kernel at flat combination ``row`` of inst, at every power in p."""
     p = np.atleast_1d(np.asarray(p, dtype=float))

@@ -6,7 +6,7 @@ import pytest
 from ofdma_sra import (allocation_utility, evaluate_mu, fp_rus_baseline,
                        mu_bounds, solve_csra, subgradient_baseline)
 from conftest import atom_instance, point_mass_instance, single_combo_instance
-from reference import bisection_mids
+from reference import bisection_mids, check_allocation
 
 
 def test_fp_rus_single_user_mcs_choice():
@@ -34,7 +34,7 @@ def test_fp_rus_seed_invariant_value_for_identical_users():
 def test_fp_rus_allocation_shape():
     inst = atom_instance(seed=2, n_sub=5, n_usr=3, n_mcs=4, p_con=20.0)
     alloc, _ = fp_rus_baseline(inst, seed=9)
-    alloc.validate()
+    check_allocation(alloc)
     assert np.all(alloc.indicator.sum(axis=(1, 2)) == 1.0)
     assert np.all(alloc.actual_power.sum(axis=(1, 2))
                   == pytest.approx(inst.p_con / 5))

@@ -6,7 +6,7 @@ import pytest
 from ofdma_sra import (allocation_utility, default_kappa, mu_bounds,
                        solve_csra)
 from conftest import atom_instance, point_mass_instance, single_combo_instance
-from reference import iteration_bound
+from reference import check_allocation, iteration_bound
 
 
 def test_single_combination_closed_form():
@@ -73,8 +73,8 @@ def test_power_feasibility_random_instances():
         assert not res.budget_slack
         assert abs(res.blend.total_power - inst.p_con) <= 1e-6 * inst.p_con
         assert abs(res.alloc.total_power - inst.p_con) <= 1e-6 * inst.p_con
-        res.blend.validate()
-        res.alloc.validate()
+        check_allocation(res.blend)
+        check_allocation(res.alloc)
         assert res.gap_bound >= 0.0
 
 

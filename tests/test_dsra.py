@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdma_sra import (McsTable, ProblemInstance, SnrDistribution, UtilitySpec,
                        default_kappa, dsra_gap_bound, evaluate_mu, mu_bounds,
@@ -74,6 +76,44 @@ def test_sandwich_on_random_point_mass_instances():
         brute = brute_force_dsra(inst, kappa)
         assert brute.utility - dsra.utility >= -1e-12
         assert brute.utility - dsra.utility <= dsra.gap_bound + kappa * inst.p_con
+
+
+@st.composite
+def small_point_mass_case(draw):
+    """At most 2x2x2 point masses, P_con log-uniform in [1e-4, 10]."""
+    n_sub, n_usr, n_mcs = (draw(st.integers(1, 2)) for _ in range(3))
+    exponents = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_sub * n_usr,
+                              max_size=n_sub * n_usr))
+    gammas = 10.0 ** np.reshape(exponents, (n_sub, n_usr))
+    p_con = 10.0 ** draw(st.floats(-4.0, 1.0))
+    return point_mass_instance(gammas, p_con, mcs=McsTable.qam(n_usr, n_mcs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_point_mass_case())
+def test_sandwich_property_small_budgets(inst):
+    # small budgets make the default kappa wider than [mu_min, mu_max]: no
+    # bisection step, and the upper end is mu_max with nothing allocated
+    kappa = default_kappa(inst.p_con)
+    csra = solve_csra(inst, kappa)
+    dsra = solve_dsra(inst, csra_result=csra)
+    brute = brute_force_dsra(inst, kappa)
+    assert brute.utility - dsra.utility >= -1e-12
+    assert brute.utility - dsra.utility <= dsra.gap_bound + kappa * inst.p_con
+    assert dsra.utility <= csra.utility + 1e-9
+    assert dsra.alloc.total_power <= inst.p_con * (1.0 + 1e-9)
+
+
+def test_empty_upper_end():
+    inst = single_combo_instance(p_con=0.1)
+    csra = solve_csra(inst)
+    assert csra.iterations == 0 and 0.0 < csra.lam < 1.0
+    assert not csra.alloc_hi.indicator.any()
+    dsra = solve_dsra(inst)
+    assert not dsra.exact_from_continuous
+    assert dsra.candidate_lagrangians.size == 2
+    assert dsra.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
+    assert dsra.utility <= csra.utility + 1e-9
 
 
 def test_no_tie_instance_matches_csra():

@@ -7,8 +7,9 @@ from ofdma_sra import (AllocationState, SnrDistribution, UtilitySpec,
                        allocation_utility, evaluate_mu, mu_bounds)
 from ofdma_sra.dual import _tie_mask
 from conftest import (closed_form_power, closed_form_v, combo_instance,
-                      point_mass_instance, single_combo_instance)
-from reference import exhaustive_lagrangian_min, indicator_cost, lagrangian
+                      mcs_entry, point_mass_instance, single_combo_instance)
+from reference import (check_allocation, exhaustive_lagrangian_min,
+                       indicator_cost, lagrangian)
 
 MCS = (1.0, 0.5, 2.0)
 LN4 = 2 * np.log(2.0)
@@ -83,7 +84,8 @@ def test_winner_sets_against_v_table(rng):
         mu = rng.uniform(0.05, 0.5)
         ws = winner_sets(inst, mu)
         for n in range(2):
-            table = np.array([[closed_form_v(gammas[n, k], *inst.mcs.entry(k, m), mu)
+            table = np.array([[closed_form_v(gammas[n, k],
+                                             *mcs_entry(inst.mcs, k, m), mu)
                                for m in range(inst.n_mcs)]
                               for k in range(inst.n_users)])
             if not ws[n]:
@@ -114,9 +116,8 @@ def test_mu_bounds_symmetry(rng):
     inst = point_mass_instance(np.full((3, 2), 1.0), p_con=6.0)
     lo, hi = mu_bounds(inst)
     # homogeneous users: bounds coincide with the single-combination values
-    a, b, r = inst.mcs.entry(0, 0)
     assert hi == pytest.approx(max(a * b * r for m in range(inst.n_mcs)
-                                   for a, b, r in [inst.mcs.entry(0, m)]))
+                                   for a, b, r in [mcs_entry(inst.mcs, 0, m)]))
 
 
 def test_mu_bounds_computed_once_per_instance(monkeypatch):
@@ -236,19 +237,20 @@ def test_indicator_cost_convexity(rng):
 def test_allocation_state_validation():
     ind = np.zeros((1, 1, 1))
     x = np.zeros((1, 1, 1))
-    AllocationState(ind, x, discrete=True).validate()
+    check_allocation(AllocationState(ind, x, discrete=True))
     with pytest.raises(ValueError):
-        AllocationState(np.full((1, 1, 1), 2.0), x).validate()
-    with pytest.raises(ValueError):
-        AllocationState(ind, np.full((1, 1, 1), 1.0)).validate()  # x without I
+        check_allocation(AllocationState(np.full((1, 1, 1), 2.0), x))
+    with pytest.raises(ValueError):  # x without I
+        check_allocation(AllocationState(ind, np.full((1, 1, 1), 1.0)))
     bad = AllocationState(np.full((1, 1, 1), 0.5), np.full((1, 1, 1), 0.5),
                           discrete=True)
     with pytest.raises(ValueError):
-        bad.validate()
+        check_allocation(bad)
     with pytest.raises(ValueError):
         AllocationState(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_allocation_utility_zero():
     inst = single_combo_instance()
-    assert allocation_utility(inst, AllocationState.zeros(inst.shape)) == 0.0
+    empty = AllocationState(np.zeros(inst.shape), np.zeros(inst.shape))
+    assert allocation_utility(inst, empty) == 0.0

@@ -48,6 +48,23 @@ BAD_CONFIGS = [
      r"^sweep\.variable: weight_w1 requires utility\.class_weights"),
     ({"n_trials": 0}, r"^n_trials: "),
     ({"n_trials": "abc"}, r"^n_trials: "),
+    ({"n_trials": 2.7}, r"^n_trials: must be an integer, got 2\.7"),
+    ({"n_trials": True}, r"^n_trials: must be an integer, got True"),
+    ({"channel": {"n_users": 3.9}},
+     r"^channel\.n_users: must be an integer, got 3\.9"),
+    ({"sweep": {"variable": "n_users", "values": [2, 2.5]}},
+     r"^sweep\.values: must be an integer, got 2\.5"),
+    ({"sweep": {"variable": "n_users", "values": [2, True]}},
+     r"^sweep\.values: must be a number, got True"),
+    ({"seed": 1.5}, r"^seed: must be an integer"),
+    ({"n_atoms": True}, r"^n_atoms: must be an integer"),
+    ({"channel": {"n_subchannels": 8.5}},
+     r"^channel\.n_subchannels: must be an integer"),
+    ({"channel": {"tap_count": False}},
+     r"^channel\.tap_count: must be an integer"),
+    ({"mcs": {"n_mcs": "3"}}, r"^mcs\.n_mcs: must be an integer"),
+    ({"subgradient": {"updates": 1.5}},
+     r"^subgradient\.updates: must be an integer"),
     ({"kappa": -1}, r"^kappa: must be positive"),
     ({"kappa": 0}, r"^kappa: must be positive"),
     ({"schemes": ["WAT"]}, r"^schemes: unknown scheme 'WAT'"),
@@ -82,6 +99,13 @@ def test_config_field_errors():
             ScenarioConfig.from_dict(raw)
 
 
+def test_integral_floats_are_integers():
+    cfg = ScenarioConfig.from_dict({"n_trials": 3.0,
+                                    "channel": {"n_users": 2.0}})
+    assert (cfg.n_trials, cfg.channel.n_users) == (3, 2)
+    assert type(cfg.n_trials) is type(cfg.channel.n_users) is int
+
+
 def test_trial_seed_derivation():
     s1 = trial_seed(0, 0, 0)
     assert trial_seed(0, 0, 0) == s1
@@ -110,6 +134,19 @@ def test_per_trial_invariants():
             assert r.goodput_per_subchannel >= 0.0
         assert recs["DSRA-ICSI"].gap_bound_per_subchannel >= 0.0
         assert recs["CSRA-ICSI"].mu_lo <= recs["CSRA-ICSI"].mu_hi
+
+
+def test_desk_trial_with_empty_upper_end():
+    # P_con = 16 * 10^-2: the default kappa = 0.3 / P_con is wider than
+    # [mu_min, mu_max], so the upper bracket end sits at mu_max and
+    # allocates nothing
+    cfg = ScenarioConfig.from_dict({
+        "channel": {"n_subchannels": 16, "n_users": 4},
+        "mcs": {"n_mcs": 4}, "n_atoms": 32, "n_trials": 1, "seed": 608,
+        "sweep": {"variable": "snr_db", "values": [-20.0]},
+        "schemes": ["CSRA-ICSI", "DSRA-ICSI"]})
+    recs = {r.scheme: r for r in run_trial(cfg, 0, 0)}
+    assert recs["DSRA-ICSI"].utility <= recs["CSRA-ICSI"].utility + 1e-9
 
 
 def test_run_scenario_outputs(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from ofdma_sra import McsTable, ProblemInstance, SnrDistribution, UtilitySpec
 from ofdma_sra.kernels import _u_value
-from conftest import combo_instance, point_mass_instance
+from conftest import combo_instance, mcs_entry, point_mass_instance
 from reference import row_values
 
 MCS = (1.0, 0.5, 2.0)  # (a, b, r)
@@ -188,7 +188,7 @@ def test_mcs_table_defaults():
     assert np.allclose(t.r[0], m + 1)
     assert np.all(t.a == 1.0)
     cap = McsTable.capacity(2)
-    assert cap.n_mcs == 1 and cap.entry(0, 0) == (1.0, 1.0, 1.0)
+    assert cap.n_mcs == 1 and mcs_entry(cap, 0, 0) == (1.0, 1.0, 1.0)
 
 
 def test_mcs_table_validation():
