@@ -39,7 +39,7 @@ def fp_rus_baseline(inst: ProblemInstance,
     subs = np.arange(n_sub)
     rows = ((subs * n_usr + users)[:, None] * n_mcs + np.arange(n_mcs)).ravel()
     good = _run_kernel("expected_utilities", _packed_rows(inst, rows),
-                       np.full(rows.size, p), UTILITY_CODES["goodput"])
+                       np.full(rows.size, p), ucode=UTILITY_CODES["goodput"])
     good = good.reshape(n_sub, n_mcs)
     best_m = good.argmax(axis=1)
     indicator = np.zeros(inst.shape)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import get_kernels
+from .kernels import _marginal_slope, get_kernels
 from .snr import SnrDistribution
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
@@ -56,6 +56,7 @@ class ProblemInstance:
                              "so that goodput stays below 1")
         self._flat = None
         self._mu_bounds = None
+        self._thresholds = None
 
     @property
     def n_subchannels(self) -> int:
@@ -101,8 +102,8 @@ class ProblemInstance:
             }
         return self._flat
 
-    def _batch(self, fn_name: str, arg) -> np.ndarray:
-        return _run_kernel(fn_name, self.flat(), arg).reshape(self.shape)
+    def _batch(self, fn_name: str, *args) -> np.ndarray:
+        return _run_kernel(fn_name, self.flat(), *args).reshape(self.shape)
 
     def marginal_values_at(self, p: np.ndarray) -> np.ndarray:
         """Marginal of expected utility at per-combination powers p (N,K,M)."""
@@ -112,16 +113,28 @@ class ProblemInstance:
         return self._batch("expected_utilities", np.asarray(p, dtype=float).ravel())
 
     def power_roots_at(self, mu: float) -> np.ndarray:
-        return self._batch("power_roots", float(mu))
+        return self._batch("power_roots", float(mu), *_thresholds(self))
 
 
-def _run_kernel(fn_name: str, packed: dict, arg, ucode: int | None = None
+def _run_kernel(fn_name: str, packed: dict, *args, ucode: int | None = None
                 ) -> np.ndarray:
     """One kernel over packed rows, under their utility or the given code."""
     fn = getattr(get_kernels(), fn_name)
     return fn(packed["gamma"], packed["w"], packed["a"], packed["b"],
               packed["r"], packed["ucode"] if ucode is None else ucode,
-              packed["uparam"], arg)
+              packed["uparam"], *args)
+
+
+def _thresholds(inst: ProblemInstance, rows=slice(None)):
+    """Marginal (the activation threshold) and slope at zero power at flat
+    indices rows; computed for every combination once, on first need."""
+    if inst._thresholds is None:
+        f = inst.flat()
+        inst._thresholds = _marginal_slope(
+            f["gamma"], f["w"], f["a"], f["b"], f["r"], f["ucode"],
+            f["uparam"], np.zeros(f["a"].size))
+    mv0, dmv0 = inst._thresholds
+    return mv0[rows], dmv0[rows]
 
 
 def _packed_rows(inst: ProblemInstance, rows: np.ndarray) -> dict:
@@ -276,10 +289,8 @@ def mu_bounds(inst: ProblemInstance) -> tuple[float, float]:
     Above mu_max no combination accepts power.  Computed once per instance.
     """
     if inst._mu_bounds is None:
-        shape = inst.shape
-        mv_full = inst.marginal_values_at(np.full(shape, inst.p_con))
-        mv_zero = inst.marginal_values_at(np.zeros(shape))
-        inst._mu_bounds = (float(mv_full.min()), float(mv_zero.max()))
+        mv_full = inst.marginal_values_at(np.full(inst.shape, inst.p_con))
+        inst._mu_bounds = (float(mv_full.min()), float(_thresholds(inst)[0].max()))
     return inst._mu_bounds
 
 
@@ -288,7 +299,7 @@ def _allocation_sum(inst: ProblemInstance, alloc: AllocationState,
     """sum I * E{U(g(x/I, gamma))} over the allocated combinations only."""
     rows = np.flatnonzero(alloc.indicator > 0.0)
     eu = _run_kernel("expected_utilities", _packed_rows(inst, rows),
-                     alloc.powers().ravel()[rows], ucode)
+                     alloc.powers().ravel()[rows], ucode=ucode)
     return float(np.sum(alloc.indicator.ravel()[rows] * eu))
 
 

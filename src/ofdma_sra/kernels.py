@@ -7,9 +7,9 @@ per-user utility parameter):
 * ``marginal_values``    -- a*b*r * E{ U'(g(p, gamma)) * gamma * exp(-b*p*gamma) },
   the derivative of expected utility w.r.t. power,
 * ``expected_utilities`` -- E{ U(g(p, gamma)) },
-* ``power_roots``        -- per-row bisection for the power where the marginal
-  equals a given multiplier ``mu`` (0 when ``mu`` is at/above the activation
-  threshold, i.e. the marginal at p=0).
+* ``power_roots``        -- per-row power where the marginal equals a given
+  multiplier ``mu`` (0 when ``mu`` is at/above the activation threshold,
+  i.e. the marginal at p=0).
 
 Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 0 identity, 1 weighted, 2 exponential pricing ``1-exp(-theta*g)``,
@@ -17,20 +17,28 @@ Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 evaluated in log space when r == 1 so that deep-saturation powers
 (``exp(-b*p*gamma)`` underflowing to 0) stay finite.
 
-Each map is vectorized numpy.  The marginal and the expectation are
-evaluated ``_BLOCK_ROWS`` rows at a time into one preallocated output, which
-caps their (rows, atoms) temporaries at full scale; each row's sum is the
-same as in one full-size pass, so the results are bit-identical.
+Each map is vectorized numpy.  The marginal comes from the fused (marginal,
+slope) map, and both maps and the expectation are evaluated ``_BLOCK_ROWS``
+rows at a time into one preallocated output, which caps their (rows, atoms)
+temporaries at full scale; each row's sum is the same as in one full-size
+pass, so the results are bit-identical to it.
 
-``power_roots`` evaluates the marginal at p=0 over every row; rows at or
-below ``mu`` get 0 and never enter the loops.  The doubling of the upper
-bracket and the bisection then run on a working set (the row arrays, ``lo``,
-``hi`` and each row's output position) from which rows drop once they
-converge.  The working set is gathered anew only when at most half of it is
-still unfinished, at entry and after each bisection pass: a gather copies
-the (rows, atoms) arrays, and gathering a larger share would hold more
-memory than the loops save.  Every per-row operation is the one a full-row
-bisection performs, so the roots are bit-identical to it.
+``power_roots`` takes Newton steps on ``log(marginal(p) / mu)`` from p=0.
+That log is convex in p for codes 0-2 and for code 3 at r == 1, so the steps
+approach the root from below.  The caller passes the marginal and slope at
+p=0 (the activation thresholds, cached per instance by ``dual``): rows at or
+below ``mu`` get 0, and the first step needs no pass.  Each row keeps a
+bracket ``[lo, hi]``, ``hi`` infinite until a step lands at or below ``mu``;
+a step that is not finite or leaves the bracket is replaced by bisection, or
+by doubling while ``hi`` is infinite.  A row is done once
+``|marginal(p) - mu| <= ROOT_REL_TOL * mu``.  Rows still open after
+``ROOT_MAX_ITER`` steps (an infinite root: ``mu`` = 0 and a marginal that
+never reaches 0) keep their last power, and the call raises one
+``RuntimeWarning`` naming how many rows failed.  Rows drop out of the working
+set as they converge; it is gathered anew only when at most half of it is
+unfinished, at entry and after each pass, because a gather copies the (rows,
+atoms) arrays and gathering a larger share would hold more memory than the
+loop saves.
 
 Callers look the maps up through ``get_kernels()`` at call time, so that a
 profiler can wrap the namespace it returns.
@@ -38,13 +46,13 @@ profiler can wrap the namespace it returns.
 
 from __future__ import annotations
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 
 ROOT_REL_TOL = 1e-9
 ROOT_MAX_ITER = 200
-_GROW_MAX = 200
 _BLOCK_ROWS = 2048
 
 
@@ -82,10 +90,30 @@ def _u_der_t(ucode, theta, a, r, s):
     return np.where(r == 1.0, exact, plain)
 
 
-def _marginal_rows(gamma, w, a, b, r, ucode, uparam, p):
+def _u_slope(ucode, theta, a, r, s, der_t):
+    """d/ds of U'(g) * exp(-s), given that product as der_t."""
+    if ucode <= 1:
+        return -der_t
+    t = np.exp(-s)
+    if ucode == 2:
+        return -der_t * (1.0 + theta * a * r * t)
+    one_m_g = (1.0 - r) + r * a * t
+    safe = np.where(one_m_g > 0.0, one_m_g, 1.0)
+    log_q = np.log(safe)
+    plain = der_t * (r * a * t * -log_q / (safe * (1.0 - log_q)) - 1.0)
+    exact = -der_t / (1.0 - np.log(a) + s)
+    return np.where(r == 1.0, exact, plain)
+
+
+def _marginal_slope_rows(gamma, w, a, b, r, ucode, uparam, p):
+    """(2, rows): the marginal and its derivative in p."""
     s = b[:, None] * p[:, None] * gamma
-    der_t = _u_der_t(ucode, uparam[:, None], a[:, None], r[:, None], s)
-    return a * b * r * np.sum(w * gamma * der_t, axis=1)
+    theta, a2, r2 = uparam[:, None], a[:, None], r[:, None]
+    der_t = _u_der_t(ucode, theta, a2, r2, s)
+    slope = _u_slope(ucode, theta, a2, r2, s, der_t)
+    wg = w * gamma
+    return np.stack((a * b * r * np.sum(wg * der_t, axis=1),
+                     a * b * b * r * np.sum(wg * gamma * slope, axis=1)))
 
 
 def _expected_rows(gamma, w, a, b, r, ucode, uparam, p):
@@ -95,19 +123,26 @@ def _expected_rows(gamma, w, a, b, r, ucode, uparam, p):
 
 
 def _in_blocks(rows_fn, gamma, w, a, b, r, ucode, uparam, p):
-    """rows_fn over at most _BLOCK_ROWS rows at a time."""
+    """rows_fn over at most _BLOCK_ROWS rows at a time (rows on the last axis)."""
     if gamma.shape[0] <= _BLOCK_ROWS:
         return rows_fn(gamma, w, a, b, r, ucode, uparam, p)
-    out = np.empty(gamma.shape[0])
-    for i in range(0, out.size, _BLOCK_ROWS):
+    out = None
+    for i in range(0, gamma.shape[0], _BLOCK_ROWS):
         blk = slice(i, i + _BLOCK_ROWS)
-        out[blk] = rows_fn(gamma[blk], w[blk], a[blk], b[blk], r[blk], ucode,
-                           uparam[blk], p[blk])
+        part = rows_fn(gamma[blk], w[blk], a[blk], b[blk], r[blk], ucode,
+                       uparam[blk], p[blk])
+        if out is None:
+            out = np.empty(part.shape[:-1] + gamma.shape[:1])
+        out[..., blk] = part
     return out
 
 
+def _marginal_slope(gamma, w, a, b, r, ucode, uparam, p):
+    return _in_blocks(_marginal_slope_rows, gamma, w, a, b, r, ucode, uparam, p)
+
+
 def _marginal(gamma, w, a, b, r, ucode, uparam, p):
-    return _in_blocks(_marginal_rows, gamma, w, a, b, r, ucode, uparam, p)
+    return _marginal_slope(gamma, w, a, b, r, ucode, uparam, p)[0]
 
 
 def _expected(gamma, w, a, b, r, ucode, uparam, p):
@@ -120,42 +155,44 @@ def _gather(work, todo):
     return [arr[keep] for arr in work], np.ones(keep.size, dtype=bool)
 
 
-def _power_roots(gamma, w, a, b, r, ucode, uparam, mu):
+def _power_roots(gamma, w, a, b, r, ucode, uparam, mu, mv0, dmv0):
     n = gamma.shape[0]
     out = np.zeros(n)
-    todo = _marginal(gamma, w, a, b, r, ucode, uparam, np.zeros(n)) > mu
+    todo = mv0 > mu
     left = np.count_nonzero(todo)
     if left == 0:
         return out
-    # working set: the row arrays, the bracket and each row's output position;
-    # todo marks its unfinished rows, gathered once at most half are left
-    lo, hi, pos = np.zeros(n), np.ones(n), np.arange(n)
+    # working set: row arrays, last power, marginal and slope there, bracket
+    # and output position; todo marks its unfinished rows
+    work = [gamma, w, a, b, r, uparam, np.zeros(n), mv0, dmv0, np.zeros(n),
+            np.full(n, np.inf), np.arange(n)]
     if 2 * left <= n:
-        (gamma, w, a, b, r, uparam, lo, hi, pos), todo = _gather(
-            [gamma, w, a, b, r, uparam, lo, hi, pos], todo)
-    for _ in range(_GROW_MAX):
-        mv = _marginal(gamma, w, a, b, r, ucode, uparam, hi)
-        grow = todo & (mv > mu)
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
+        work, todo = _gather(work, todo)
+    gamma, w, a, b, r, uparam, p, mv, dmv, lo, hi, pos = work
     for _ in range(ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        mv = _marginal(gamma, w, a, b, r, ucode, uparam, mid)
+        with np.errstate(all="ignore"):
+            step = p - np.log(mv / mu) * mv / dmv
+            fallback = np.where(hi == np.inf, np.maximum(2.0 * lo, 1.0),
+                                0.5 * (lo + hi))
+        inside = np.isfinite(step) & (step > lo) & (step < hi)
+        p = np.where(inside, step, fallback)
+        mv, dmv = _marginal_slope(gamma, w, a, b, r, ucode, uparam, p)
         done = todo & (np.abs(mv - mu) <= ROOT_REL_TOL * mu)
-        out[pos[done]] = mid[done]
+        out[pos[done]] = p[done]
         todo &= ~done
         left = np.count_nonzero(todo)
         if left == 0:
             return out
-        up = todo & (mv > mu)
-        lo[up] = mid[up]
-        dn = todo & (mv <= mu)
-        hi[dn] = mid[dn]
+        above = mv > mu
+        lo = np.where(above, p, lo)
+        hi = np.where(above, hi, p)
         if 2 * left <= todo.size:
-            (gamma, w, a, b, r, uparam, lo, hi, pos), todo = _gather(
-                [gamma, w, a, b, r, uparam, lo, hi, pos], todo)
-    out[pos[todo]] = 0.5 * (lo + hi)[todo]
+            work, todo = _gather(
+                [gamma, w, a, b, r, uparam, p, mv, dmv, lo, hi, pos], todo)
+            gamma, w, a, b, r, uparam, p, mv, dmv, lo, hi, pos = work
+    out[pos[todo]] = p[todo]
+    warnings.warn(f"power_roots: {left} of {n} rows did not converge in "
+                  f"{ROOT_MAX_ITER} steps", RuntimeWarning, stacklevel=2)
     return out
 
 

@@ -11,12 +11,12 @@ the returned powers meet the budget with equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .dual import (AllocationState, ProblemInstance, _bisect_budget,
-                   _blend_weight, _packed_rows, _run_kernel, mu_bounds)
+                   _blend_weight, _packed_rows, _run_kernel, _thresholds,
+                   mu_bounds)
 
 
 @dataclass
@@ -52,7 +52,11 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     mu_min, mu_max = mu_bounds(inst)
     active = np.flatnonzero(indicator)
     packed = _packed_rows(inst, active)
-    roots = partial(_run_kernel, "power_roots", packed)
+    zero = _thresholds(inst, active)
+
+    def roots(mu):
+        return _run_kernel("power_roots", packed, mu, *zero)
+
     br = _bisect_budget(roots, lambda p: p.sum() > inst.p_con,
                         mu_min, mu_max, kappa)
     lam = _blend_weight(br, roots, np.sum, inst.p_con)

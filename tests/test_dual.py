@@ -205,7 +205,10 @@ def test_jump_structure_only_at_ties():
     same = np.array([idents[i] == idents[i + 1] for i in range(len(grid) - 1)])
     assert np.max(np.abs(np.diff(xs))[same]) < 0.1
     assert np.min(np.abs(np.diff(xs))[~same]) > 1.0  # the switch is a real jump
-    # at each winner change, the crossing point is a genuine tie
+    # at each winner change, the crossing point is a genuine tie; under the
+    # min-power rule the winner changes where the lower-power combination
+    # enters the tie band, so the tie holds at m_hi, the first mu carrying
+    # the new winner (m_lo and m_hi end as adjacent doubles)
     for i in switches:
         m_lo, m_hi = grid[i], grid[i + 1]
         ident_lo = idents[i]
@@ -215,7 +218,7 @@ def test_jump_structure_only_at_ties():
                 m_lo = mid
             else:
                 m_hi = mid
-        ws = winner_sets(inst, 0.5 * (m_lo + m_hi))
+        ws = winner_sets(inst, m_hi)
         assert any(len(w) >= 2 for w in ws)
 
 

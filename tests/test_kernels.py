@@ -1,11 +1,18 @@
 """The power-root kernel and the row-blocked maps against full-row references.
 
-``power_roots`` bisects only the rows still unfinished and gathers them into
-smaller arrays as they converge; ``marginal_values`` and
-``expected_utilities`` evaluate a bounded number of rows at a time.  None of
-that may change a single bit, so every check here is ``np.array_equal``
-against the full-row formulas kept below.
+``marginal_values``, ``expected_utilities`` and the fused (marginal, slope)
+map evaluate a bounded number of rows at a time; that may not change a
+single bit, so those checks are ``np.array_equal`` against the full-row
+formulas kept below.  ``power_roots`` takes safeguarded Newton steps on the
+unfinished rows only; two valid roots of a flat marginal may differ in many
+digits, so its checks are the root contract instead: a positive root exactly
+where the threshold is above mu (the support of the full-row bisection kept
+below as the reference), and the marginal there within ROOT_REL_TOL of mu on
+every row the kernel does not report as failed.
 """
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +22,9 @@ from hypothesis import strategies as st
 from ofdma_sra import kernels
 from ofdma_sra.dual import _packed_rows
 from ofdma_sra.kernels import (_BLOCK_ROWS, ROOT_MAX_ITER, ROOT_REL_TOL,
-                               _GROW_MAX, _u_der_t, _u_value)
+                               _u_der_t, _u_value)
+
+REF_GROW_MAX = 200  # doublings of the reference's upper bracket
 
 from conftest import atom_instance
 
@@ -45,7 +54,7 @@ def ref_power_roots(gamma, w, a, b, r, ucode, uparam, mu):
     if not todo.any():
         return out
     hi = np.ones(n)
-    for _ in range(_GROW_MAX):
+    for _ in range(REF_GROW_MAX):
         mv = ref_marginal(gamma, w, a, b, r, ucode, uparam, hi)
         grow = todo & (mv > mu)
         if not grow.any():
@@ -101,10 +110,27 @@ def thresholds(rows):
     return ref_marginal(*rows, np.zeros(rows[0].shape[0]))
 
 
-def assert_roots_equal(rows, mu):
-    got = kernels._power_roots(*rows, mu)
-    want = ref_power_roots(*rows, mu)
-    assert np.array_equal(got, want)
+def kernel_roots(rows, mu):
+    """The kernel's roots and the number of rows it reports as failed."""
+    mv0, dmv0 = kernels._marginal_slope(*rows, np.zeros(rows[0].shape[0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = kernels._power_roots(*rows, mu, mv0, dmv0)
+    reports = [re.match(r"power_roots: (\d+) of \d+ rows", str(c.message))
+               for c in caught]
+    assert sum(m is not None for m in reports) <= 1
+    return got, sum(int(m.group(1)) for m in reports if m)
+
+
+def assert_root_contract(rows, mu, may_fail=False):
+    """Checks the contract; failures are allowed only where may_fail says."""
+    got, failed = kernel_roots(rows, mu)
+    assert may_fail or failed == 0
+    support = thresholds(rows) > mu
+    assert np.array_equal(got > 0.0, support)
+    assert np.array_equal(got > 0.0, ref_power_roots(*rows, mu) > 0.0)
+    mv = ref_marginal(*rows, got)[support]
+    assert np.count_nonzero(np.abs(mv - mu) > ROOT_REL_TOL * mu) == failed
     return got
 
 
@@ -113,7 +139,7 @@ def test_roots_match_reference_per_code(rng, ucode):
     rows = packed(rng, 300, ucode)
     mv0 = thresholds(rows)
     for q in (0.05, 0.3, 0.5, 0.7, 0.95):
-        assert_roots_equal(rows, float(np.quantile(mv0, q)))
+        assert_root_contract(rows, float(np.quantile(mv0, q)))
 
 
 def test_roots_active_share_above_and_below_half(rng):
@@ -122,19 +148,19 @@ def test_roots_active_share_above_and_below_half(rng):
     for q, more_than_half in ((0.2, True), (0.8, False)):
         mu = float(np.quantile(mv0, q))
         assert (np.mean(mv0 > mu) > 0.5) == more_than_half
-        p = assert_roots_equal(rows, mu)
+        p = assert_root_contract(rows, mu)
         assert np.array_equal(p > 0.0, mv0 > mu)
 
 
 def test_roots_all_zero_above_every_threshold(rng):
     rows = packed(rng, 50, 2)
     mu = 2.0 * float(thresholds(rows).max())
-    assert not assert_roots_equal(rows, mu).any()
+    assert not assert_root_contract(rows, mu).any()
 
 
 def test_roots_tiny_mu_grows_far(rng):
     rows = packed(rng, 60, 0, span=(-6.0, -3.0))
-    p = assert_roots_equal(rows, 1e-12)
+    p = assert_root_contract(rows, 1e-12)
     assert p.max() > 2.0 ** 20
 
 
@@ -146,7 +172,7 @@ def test_roots_capacity_log_deep_saturation():
     one = np.ones(3)
     rows = (gamma, w, one, one, one, 3, np.array([0.5, 1.0, 2.0]))
     for mu in (1e-3, 1e-5, 1e-7):
-        p = assert_roots_equal(rows, mu)
+        p = assert_root_contract(rows, mu)
         assert np.all(p * gamma.max(axis=1) > 800.0)
 
 
@@ -164,7 +190,7 @@ def test_roots_across_blocks_and_gathers(rng, monkeypatch):
     mv0 = thresholds(rows)
     for q in (0.1, 0.6):
         sizes.clear()
-        assert_roots_equal(rows, float(np.quantile(mv0, q)))
+        assert_root_contract(rows, float(np.quantile(mv0, q)))
         # the first gather waits until at most half of the rows are left
         assert sizes and sizes[0][0] == rows[0].shape[0]
         assert all(0 < 2 * kept <= size for size, kept in sizes)
@@ -178,7 +204,7 @@ def test_roots_on_packed_row_subset():
             pk["uparam"])
     mv0 = thresholds(args)
     for q in (0.25, 0.75):
-        assert_roots_equal(args, float(np.quantile(mv0, q)))
+        assert_root_contract(args, float(np.quantile(mv0, q)))
 
 
 @pytest.mark.parametrize("ucode", [0, 1, 2, 3])
@@ -190,10 +216,50 @@ def test_blocked_maps_match_full_rows(rng, ucode):
         assert np.array_equal(kernels._expected(*rows, p), ref_expected(*rows, p))
 
 
+@pytest.mark.parametrize("ucode", [0, 1, 2, 3])
+def test_blocked_marginal_slope_matches_one_pass(rng, ucode):
+    n = 2 * _BLOCK_ROWS + 17
+    rows = packed(rng, n, ucode)
+    for p in (np.zeros(n), 10.0 ** rng.uniform(-3.0, 3.0, n)):
+        both = kernels._marginal_slope(*rows, p)
+        assert np.array_equal(both, kernels._marginal_slope_rows(*rows, p))
+        # the marginal keeps the full-row expression, so mu_max stays exact
+        assert np.array_equal(both[0], ref_marginal(*rows, p))
+
+
+@pytest.mark.parametrize("ucode, rate", [(0, None), (1, None), (2, None),
+                                         (3, 1.0), (3, 0.6)])
+def test_slope_matches_central_difference(rng, ucode, rate):
+    gamma, w, a, b, r, ucode, uparam = packed(rng, 200, ucode)
+    if rate is not None:
+        r = np.full(r.size, rate)
+    rows = (gamma, w, a, b, r, ucode, uparam)
+    p = 10.0 ** rng.uniform(-2.0, 1.0, r.size)
+    h = 1e-5 * p
+    diff = (kernels._marginal(*rows, p + h)
+            - kernels._marginal(*rows, p - h)) / (2.0 * h)
+    slope = kernels._marginal_slope(*rows, p)[1]
+    assert np.all(slope < 0.0)
+    assert np.allclose(slope, diff, rtol=1e-5, atol=0.0)
+
+
+def test_roots_fail_loudly_when_the_root_is_infinite():
+    # capacity-log at a = b = r = 1: the marginal theta/(1 + p*gamma) stays
+    # positive, so at mu = 0 no power meets the tolerance
+    one = np.ones(1)
+    rows = (np.array([[2.0]]), np.array([[1.0]]), one, one, one, 3, one)
+    mv0, dmv0 = kernels._marginal_slope(*rows, np.zeros(1))
+    with pytest.warns(RuntimeWarning, match=r"power_roots: 1 of 1 rows"):
+        got = kernels._power_roots(*rows, 0.0, mv0, dmv0)
+    assert got[0] > 0.0 and np.isfinite(got[0])
+    assert assert_root_contract(rows, 0.0, may_fail=True) == got
+
+
 def test_maps_on_no_rows():
     rows = packed(np.random.default_rng(0), 0, 0)
     assert kernels._marginal(*rows, np.zeros(0)).shape == (0,)
     assert kernels._expected(*rows, np.zeros(0)).shape == (0,)
+    assert kernels._marginal_slope(*rows, np.zeros(0)).shape == (2, 0)
 
 
 # -- property: any atoms, any code, any mu in the solver's range ---------------
@@ -237,5 +303,7 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_roots_property(case):
     rows, mu = case
+    # mu = mu_min = 0 when some marginal at P_con underflows; roots of rows
+    # whose marginal never reaches 0 are then infinite and reported failed
     with np.errstate(all="ignore"):
-        assert_roots_equal(rows, mu)
+        assert_root_contract(rows, mu, may_fail=mu == 0.0)
