@@ -19,8 +19,8 @@ file holds:
   over the parent's;
 * ``environment``: python, numpy and scipy versions, cores and the load
   average before and after;
-* ``sides``: each directory with its ``git rev-parse HEAD`` and whether its
-  work tree had uncommitted changes.
+* ``sides``: each side's ``git rev-parse HEAD`` and whether its work tree
+  had uncommitted changes.
 """
 
 import argparse
@@ -57,7 +57,7 @@ def git_state(checkout: Path) -> dict:
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"dir": str(checkout), "rev": git("rev-parse", "HEAD"),
+    return {"rev": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status)}
 
 

@@ -26,7 +26,7 @@ def test_bench_pairs_writes_schema(tmp_path):
     assert set(doc["environment"]) >= {"python", "numpy", "scipy", "cores",
                                        "loadavg_before", "loadavg_after"}
     for side in ("parent", "change"):
-        assert set(doc["sides"][side]) == {"dir", "rev", "dirty"}
+        assert set(doc["sides"][side]) == {"rev", "dirty"}
     runs = doc["runs"]
     assert sorted((r["side"], r["trace"]) for r in runs) == [
         ("change", 0), ("change", 1), ("parent", 0), ("parent", 1)]
