@@ -111,9 +111,15 @@ def _marginal_slope_rows(gamma, w, a, b, r, ucode, uparam, p):
     theta, a2, r2 = uparam[:, None], a[:, None], r[:, None]
     der_t = _u_der_t(ucode, theta, a2, r2, s)
     slope = _u_slope(ucode, theta, a2, r2, s, der_t)
+    # (rows, atoms) temporaries go as soon as they are used: at full scale
+    # this map's peak sets the process's peak memory
+    del s
     wg = w * gamma
-    return np.stack((a * b * r * np.sum(wg * der_t, axis=1),
-                     a * b * b * r * np.sum(wg * gamma * slope, axis=1)))
+    mv = a * b * r * np.sum(wg * der_t, axis=1)
+    del der_t
+    wg *= gamma
+    slope *= wg
+    return np.stack((mv, a * b * b * r * np.sum(slope, axis=1)))
 
 
 def _expected_rows(gamma, w, a, b, r, ucode, uparam, p):
