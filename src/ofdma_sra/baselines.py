@@ -57,6 +57,7 @@ class SubgradientTrace:
     mus: np.ndarray
     utilities: np.ndarray
     total_powers: np.ndarray
+    alloc: AllocationState  # min-power allocation at the last multiplier
 
     def __len__(self):
         return self.mus.size
@@ -87,4 +88,5 @@ def subgradient_baseline(inst: ProblemInstance, n_updates: int,
         totals[i - 1] = alloc.total_power
         utils[i - 1] = float((alloc.indicator * ev.exp_util).sum())
         mu = max(mu_min, mu + scale * (alloc.total_power - inst.p_con) / i)
-    return SubgradientTrace(mus=mus, utilities=utils, total_powers=totals)
+    return SubgradientTrace(mus=mus, utilities=utils, total_powers=totals,
+                            alloc=alloc)

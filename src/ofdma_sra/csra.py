@@ -2,10 +2,14 @@
 
 The total optimal power X*(mu) is nonincreasing, so bisection over
 [mu_min, mu_max] narrows a bracket containing the multiplier where the
-budget binds.  The endpoint allocations (min-power tie rule) are combined
-with the weight lam that meets the budget exactly; when the two endpoint
-allocations coincide, or lam is 0 or 1, the combination is itself a valid
-one-combination-per-subchannel allocation.
+budget binds; a midpoint binds when its min-power total reaches P_con.
+Ends are evaluated lazily: only an end that never moved is evaluated, once,
+after the bisection.  The endpoint allocations (min-power tie rule) are
+combined with the weight lam that meets the budget exactly; when the two
+endpoint allocations coincide, or lam is 0 or 1, the combination is itself
+a valid one-combination-per-subchannel allocation.  If the lower end never
+moved and spends less than P_con, the budget is slack: the bracket
+collapses to [mu_min, mu_min] with lam = 0 and no midpoints.
 
 The utility of the returned solution sits within (mu_hi - mu_lo) * P_con of
 the continuous optimum, so the bracket width kappa is a tunable optimality
@@ -25,8 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .dual import (AllocationState, ProblemInstance, _bisect_budget,
-                   _blend_weight, allocation_utility, evaluate_mu, mu_bounds)
+from .dual import (AllocationState, ProblemInstance, _bisect_budget, _Bracket,
+                   allocation_utility, evaluate_mu, mu_bounds)
 from .waterfill import FixedAllocationSolve, refinement_kappa, solve_fixed_allocation
 
 DEFAULT_KAPPA_SCALE = 0.3  # default bracket width is 0.3 / P_con
@@ -68,35 +72,19 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         raise ValueError("bracket width must be positive")
 
     mu_min, mu_max = mu_bounds(inst)
-    ev_lo = evaluate_mu(inst, mu_min)
-    water_fill = partial(solve_fixed_allocation, inst,
-                         kappa=refinement_kappa(mu_min, mu_max, kappa))
-
-    if ev_lo.total_power_min < inst.p_con * (1.0 - 1e-6):
-        # Budget does not bind at mu_min.  Reachable: atoms of a wide dynamic
-        # range (e.g. [1e-300, 1e300]) leave the marginal flat within
-        # ROOT_REL_TOL of mu_min, the root-find stops at its first midpoint,
-        # and the allocation spends a fraction of P_con (1/8 for that pair on
-        # four subchannels) with gap 0 and overflow warnings; what to do
-        # instead is open (ROADMAP.md, robust sweeps).  The tolerance keeps
-        # root-find noise at the exactly-binding corner out of this branch.
-        alloc = ev_lo.alloc_min
-        util = allocation_utility(inst, alloc)
-        fixed = water_fill(alloc.indicator)
-        return CsraResult(
-            mu_min=mu_min, mu_max=mu_max, mu_lo=mu_min, mu_hi=mu_min,
-            alloc_lo=alloc, alloc_hi=alloc, lam=0.0,
-            blend=AllocationState(alloc.indicator.copy(),
-                                  alloc.actual_power.copy(), discrete=True),
-            blend_utility=util, alloc=alloc, utility=util, gap_bound=0.0,
-            iterations=0, budget_slack=True, degenerate_blend=True,
-            fixed_lo=fixed, fixed_hi=fixed)
-
-    evaluate = partial(evaluate_mu, inst)
-    br = _bisect_budget(evaluate, lambda ev: ev.total_power_min >= inst.p_con,
-                        mu_min, mu_max, kappa, at_lo=ev_lo)
-    lam = _blend_weight(br, evaluate, lambda ev: ev.total_power_min, inst.p_con)
-    mu_lo, mu_hi = br.lo, br.hi
+    br = _bisect_budget(partial(evaluate_mu, inst),
+                        lambda ev: ev.total_power_min, inst.p_con,
+                        mu_min, mu_max, kappa)
+    # The budget is slack when even mu_min, the lower end that then never
+    # moved, spends less than P_con.  Reachable: atoms of a wide dynamic
+    # range (e.g. [1e-300, 1e300]) leave the marginal flat within
+    # ROOT_REL_TOL of mu_min, and the allocation spends a fraction of P_con
+    # with gap 0; what to do instead is open (ROADMAP.md, robust sweeps).  The
+    # tolerance keeps root-find noise at the exactly-binding corner out.
+    budget_slack = br.at_lo.total_power_min < inst.p_con * (1.0 - 1e-6)
+    if budget_slack:
+        br = _Bracket(mu_min, mu_min, br.at_lo, br.at_lo, [], 0.0)
+    lam, mu_lo, mu_hi = br.lam, br.lo, br.hi
     alloc_lo, alloc_hi = br.at_lo.alloc_min, br.at_hi.alloc_min
     same_ends = bool(np.array_equal(alloc_lo.indicator, alloc_hi.indicator))
     degenerate = lam in (0.0, 1.0) or same_ends
@@ -106,6 +94,8 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         discrete=degenerate)
     blend_utility = allocation_utility(inst, blend)
 
+    water_fill = partial(solve_fixed_allocation, inst,
+                         kappa=refinement_kappa(mu_min, mu_max, kappa))
     fixed_lo = water_fill(alloc_lo.indicator)
     fixed_hi = fixed_lo if same_ends else water_fill(alloc_hi.indicator)
 
@@ -120,5 +110,5 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         blend=blend, blend_utility=blend_utility,
         alloc=best_alloc, utility=best_util,
         gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
-        budget_slack=False, degenerate_blend=degenerate,
+        budget_slack=budget_slack, degenerate_blend=degenerate,
         fixed_lo=fixed_lo, fixed_hi=fixed_hi)

@@ -77,7 +77,7 @@ def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
     if csra_result is None:
         csra_result = solve_csra(inst, kappa)
     res = csra_result
-    exact = res.budget_slack or res.degenerate_blend
+    exact = res.degenerate_blend  # also whenever the budget is slack
     if exact:
         cands = [res.fixed_hi if res.lam == 1.0 else res.fixed_lo]
     else:

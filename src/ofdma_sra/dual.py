@@ -230,50 +230,45 @@ def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
 
 @dataclass
 class _Bracket:
-    """Final price bracket and the latest evaluation at each of its ends."""
+    """Final price bracket, the evaluation at each end and the blend weight."""
 
     lo: float
     hi: float
-    at_lo: object       # None until evaluated
+    at_lo: object
     at_hi: object
     mids: list[float]   # every midpoint evaluated, in order
+    lam: float          # weight on the upper end of the budget-meeting blend
 
 
-def _bisect_budget(evaluate, binds, lo: float, hi: float, kappa: float,
-                   at_lo=None) -> _Bracket:
+def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
+                   kappa: float) -> _Bracket:
     """Halve [lo, hi] on the power price mu around the budget-binding point.
 
-    ``evaluate(mu)`` is the work done at one price and ``binds(result)`` says
-    whether the budget still binds there, in which case mid becomes the lower
-    end.  Stops once the bracket is at most kappa wide.  ``at_lo`` may carry
-    an evaluation already made at ``lo``.
+    ``evaluate(mu)`` is the work done at one price and ``total(result)`` the
+    power it spends.  One comparison decides binding: a midpoint with
+    ``total >= budget`` becomes the lower end, any other the upper end.  Stops
+    once the bracket is at most kappa wide.  Ends are evaluated lazily: only
+    an end that never moved is evaluated, once, after the loop.  ``lam`` is
+    the weight on the upper end at which the blend of the two ends spends
+    ``budget``, clipped to [0, 1].
     """
-    at_hi = None
+    at_lo = at_hi = None
     mids = []
     while hi - lo > kappa:
         mid = 0.5 * (lo + hi)
         mids.append(mid)
         at_mid = evaluate(mid)
-        if binds(at_mid):
+        if total(at_mid) >= budget:
             lo, at_lo = mid, at_mid
         else:
             hi, at_hi = mid, at_mid
-    return _Bracket(lo, hi, at_lo, at_hi, mids)
-
-
-def _blend_weight(br: _Bracket, evaluate, total, budget: float) -> float:
-    """Weight lam on the upper end so that the blend of the ends spends budget.
-
-    An end that never moved is evaluated here, once.  ``total(result)`` is
-    the power an evaluation spends.  The weight is clipped to [0, 1].
-    """
-    if br.at_lo is None:
-        br.at_lo = evaluate(br.lo)
-    if br.at_hi is None:
-        br.at_hi = evaluate(br.hi)
-    x_lo, x_hi = total(br.at_lo), total(br.at_hi)
+    if at_lo is None:
+        at_lo = evaluate(lo)
+    if at_hi is None:
+        at_hi = evaluate(hi)
+    x_lo, x_hi = total(at_lo), total(at_hi)
     lam = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
-    return min(max(lam, 0.0), 1.0)
+    return _Bracket(lo, hi, at_lo, at_hi, mids, min(max(lam, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

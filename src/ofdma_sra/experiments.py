@@ -45,7 +45,7 @@ from .baselines import fp_rus_baseline, subgradient_baseline
 from .csra import solve_csra
 from .dsra import solve_dsra
 from .dual import (AllocationState, ProblemInstance, allocation_goodput,
-                   allocation_utility, evaluate_mu)
+                   allocation_utility)
 from .snr import (ChannelConfig, SnrDistribution, _conditional_snr_dists,
                   conditional_snr_dist, draw_channel, mmse_estimate)
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
@@ -358,8 +358,6 @@ def build_trial_instances(cfg: ScenarioConfig, seed: int) -> dict:
 
     p_con = ch.p_con
     return {
-        "realization": realization,
-        "estimate": est,
         "icsi": ProblemInstance(mcs=mcs, utility=util, dists=icsi, p_con=p_con),
         "pcsi": ProblemInstance(mcs=mcs, utility=util, dists=pcsi, p_con=p_con),
         "prior": ProblemInstance(mcs=mcs, utility=util, dists=prior_rows,
@@ -417,8 +415,7 @@ def run_trial(cfg: ScenarioConfig, sweep_index: int, trial: int) -> list[TrialRe
             trace = subgradient_baseline(parts["icsi"],
                                          swept.subgradient_updates,
                                          swept.subgradient_scale)
-            alloc = evaluate_mu(parts["icsi"], float(trace.mus[-1])).alloc_min
-            g, u = _metrics(parts["icsi"], alloc)
+            g, u = _metrics(parts["icsi"], trace.alloc)
             record(scheme, g, u, iters=swept.subgradient_updates,
                    dt=time.perf_counter() - t0)
     return records
@@ -443,11 +440,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1) -> dict:
     else:
         chunks = list(map(run_trial, repeat(cfg), sweeps, trials))
 
-    records: list[TrialRecord] = []
-    for chunk in chunks:
-        records.extend(chunk)
-    records.sort(key=lambda r: (cfg.sweep_values.index(r.sweep_value),
-                                r.trial, cfg.schemes.index(r.scheme)))
+    records = [r for chunk in chunks for r in chunk]
 
     trials_path = out / "trials.csv"
     with trials_path.open("w", newline="") as fh:

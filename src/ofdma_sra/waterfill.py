@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import (AllocationState, ProblemInstance, _bisect_budget,
-                   _blend_weight, _packed_rows, _run_kernel, _thresholds,
-                   mu_bounds)
+                   _packed_rows, _run_kernel, _thresholds, mu_bounds)
 
 
 @dataclass
@@ -57,11 +56,9 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     def roots(mu):
         return _run_kernel("power_roots", packed, mu, *zero)
 
-    br = _bisect_budget(roots, lambda p: p.sum() > inst.p_con,
-                        mu_min, mu_max, kappa)
-    lam = _blend_weight(br, roots, np.sum, inst.p_con)
+    br = _bisect_budget(roots, np.sum, inst.p_con, mu_min, mu_max, kappa)
     p_lo, p_hi = br.at_lo, br.at_hi
-    p_blend = lam * p_hi + (1.0 - lam) * p_lo
+    p_blend = br.lam * p_hi + (1.0 - br.lam) * p_lo
 
     lagrangian = float(-_run_kernel("expected_utilities", packed, p_hi).sum()
                        + (p_hi.sum() - inst.p_con) * br.hi)
@@ -71,7 +68,7 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     x.ravel()[active] = p_blend
     return FixedAllocationSolve(
         indicator=indicator.copy(), x=x, mu_lo=float(br.lo), mu_hi=float(br.hi),
-        lam=float(lam), lagrangian=lagrangian, utility=utility,
+        lam=float(br.lam), lagrangian=lagrangian, utility=utility,
         iterations=len(br.mids))
 
 

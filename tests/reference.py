@@ -188,5 +188,5 @@ def bisection_mids(inst):
     """
     mu_min, mu_max = mu_bounds(inst)
     return _bisect_budget(partial(evaluate_mu, inst),
-                          lambda ev: ev.total_power_min >= inst.p_con,
+                          lambda ev: ev.total_power_min, inst.p_con,
                           mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -40).mids

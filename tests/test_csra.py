@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ofdma_sra import (allocation_utility, default_kappa, mu_bounds,
+from ofdma_sra import (allocation_utility, csra, default_kappa, mu_bounds,
                        solve_csra)
 from conftest import atom_instance, point_mass_instance, single_combo_instance
 from reference import check_allocation, iteration_bound
@@ -19,6 +19,22 @@ def test_single_combination_closed_form():
     assert res.blend.total_power == pytest.approx(1.0, abs=1e-6)
     assert res.utility == pytest.approx((1 - np.exp(-0.5)) * 2, abs=1e-6)
     assert not res.budget_slack
+
+
+def test_bisection_evaluates_only_midpoints(monkeypatch):
+    # the lower end moves here, so mu_min is never evaluated; nor is mu_max
+    inst = atom_instance(0)
+    calls = []
+    evaluate = csra.evaluate_mu
+
+    def record(inst, mu):
+        calls.append(mu)
+        return evaluate(inst, mu)
+
+    monkeypatch.setattr(csra, "evaluate_mu", record)
+    res = solve_csra(inst)
+    assert mu_bounds(inst)[0] not in calls
+    assert len(calls) == res.iterations
 
 
 def test_kappa_halving_adds_one_iteration():

@@ -105,7 +105,11 @@ def test_sandwich_property_small_budgets(inst):
 
 
 def test_empty_upper_end():
-    inst = single_combo_instance(p_con=0.1)
+    # the default kappa = 0.3 / P_con spans [mu_min, mu_max], so no step is
+    # taken; nothing is active at mu_max and the root at mu_min overshoots
+    # P_con, which puts lam well inside (0, 1)
+    inst = point_mass_instance([[1.0], [2.0]], p_con=0.1,
+                               mcs=McsTable.qam(1, 1))
     csra = solve_csra(inst)
     assert csra.iterations == 0 and 0.0 < csra.lam < 1.0
     assert not csra.alloc_hi.indicator.any()
@@ -114,6 +118,24 @@ def test_empty_upper_end():
     assert dsra.candidate_lagrangians.size == 2
     assert dsra.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
     assert dsra.utility <= csra.utility + 1e-9
+
+
+def test_budget_slack_collapses_the_bracket():
+    # atoms 60 decades apart: even mu_min does not spend the budget, so the
+    # lower end never moves and the bracket collapses onto it
+    law = SnrDistribution([1e-30, 1e30], [0.5, 0.5])
+    inst = ProblemInstance(mcs=McsTable.qam(1, 2),
+                           utility=UtilitySpec.goodput(1),
+                           dists=[[law] for _ in range(4)], p_con=16.0)
+    csra = solve_csra(inst)
+    assert csra.budget_slack
+    assert csra.mu_lo == csra.mu_hi == csra.mu_min
+    assert csra.iterations == 0
+    dsra = solve_dsra(inst, csra_result=csra)
+    assert dsra.exact_from_continuous
+    assert dsra.utility <= csra.utility
+    assert csra.alloc.total_power <= inst.p_con
+    assert dsra.alloc.total_power <= inst.p_con
 
 
 def test_no_tie_instance_matches_csra():

@@ -151,10 +151,10 @@ def test_desk_trial_with_empty_upper_end():
 
 def test_run_scenario_outputs(tmp_path):
     out = run_scenario(TINY, tmp_path / "run")
-    rows = list(csv.reader(out["trials_csv"].open()))
+    rows = _csv_rows(out["trials_csv"])
     assert tuple(rows[0]) == TRIALS_COLUMNS
     assert len(rows) - 1 == len(TINY.sweep_values) * TINY.n_trials * len(TINY.schemes)
-    srows = list(csv.reader(out["summary_csv"].open()))
+    srows = _csv_rows(out["summary_csv"])
     assert tuple(srows[0]) == SUMMARY_COLUMNS
     assert len(srows) - 1 == len(TINY.sweep_values) * len(TINY.schemes)
     manifest = json.loads(out["manifest"].read_text())
@@ -163,9 +163,13 @@ def test_run_scenario_outputs(tmp_path):
     assert "config_sha256" in manifest
 
 
+def _csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def _rows_sans_runtime(path):
-    rows = list(csv.reader(path.open()))
-    return [r[:-1] for r in rows]  # drop the wall-clock column
+    return [r[:-1] for r in _csv_rows(path)]  # drop the wall-clock column
 
 
 def test_run_scenario_rerun_is_bit_identical(tmp_path):
@@ -254,7 +258,7 @@ def test_cli_scheme_override(tmp_path):
     code = cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
                      "--schemes", "FP-RUS"])
     assert code == 0
-    rows = list(csv.reader((tmp_path / "o" / "trials.csv").open()))
+    rows = _csv_rows(tmp_path / "o" / "trials.csv")
     assert {r[3] for r in rows[1:]} == {"FP-RUS"}
 
 
