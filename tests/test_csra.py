@@ -27,9 +27,9 @@ def test_bisection_evaluates_only_midpoints(monkeypatch):
     calls = []
     evaluate = csra.evaluate_mu
 
-    def record(inst, mu):
+    def record(instance, mu):
         calls.append(mu)
-        return evaluate(inst, mu)
+        return evaluate(instance, mu)
 
     monkeypatch.setattr(csra, "evaluate_mu", record)
     res = solve_csra(inst)
