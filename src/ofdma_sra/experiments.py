@@ -15,9 +15,8 @@ channel prior).  Per-trial numbers are therefore deterministic given the
 seed, and trial averages estimate the same physical quantity for every
 scheme by iterated expectation.
 
-Outputs: ``trials.csv`` (one row per sweep value, trial, scheme, columns
-sweep_var, sweep_value, trial, scheme, goodput_per_subchannel, utility,
-gap_bound_per_subchannel, mu_lo, mu_hi, iters, runtime_ms), ``summary.csv``
+Outputs: ``trials.csv`` (one row per sweep value, trial and scheme, one
+column per ``TrialRecord`` field), ``summary.csv``
 (per sweep value and scheme means and standard errors), and
 ``manifest.json`` (config hash, seed, version, output inventory).
 
@@ -29,12 +28,14 @@ results do not depend on scheduling.
 from __future__ import annotations
 
 import csv
-import dataclasses
+import functools
 import hashlib
 import json
+import math
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import product, repeat
 from pathlib import Path
 
@@ -53,10 +54,6 @@ from .utility import UTILITY_CODES, McsTable, UtilitySpec
 ALL_SCHEMES = ("CSRA-PCSI", "CSRA-ICSI", "DSRA-ICSI", "FP-RUS", "SUBGRAD-ICSI")
 SWEEP_VARIABLES = ("pilot_snr_db", "n_users", "snr_db", "weight_w1")
 
-TRIALS_COLUMNS = ("sweep_var", "sweep_value", "trial", "scheme",
-                  "goodput_per_subchannel", "utility",
-                  "gap_bound_per_subchannel", "mu_lo", "mu_hi", "iters",
-                  "runtime_ms")
 SUMMARY_COLUMNS = ("sweep_var", "sweep_value", "scheme", "n_trials",
                    "mean_goodput_per_subchannel", "se_goodput_per_subchannel",
                    "mean_utility", "mean_gap_bound_per_subchannel")
@@ -76,6 +73,11 @@ class UtilityConfig:
     def __post_init__(self):
         if self.variant not in UTILITY_CODES:
             raise ConfigError(f"utility.variant: unknown variant {self.variant!r}")
+        for name in ("weights", "class_weights"):
+            if (getattr(self, name) is not None
+                    and self.variant in ("goodput", "capacity_log")):
+                raise ConfigError(f"utility.{name}: {self.variant} takes no "
+                                  "weights")
 
     def realize(self, n_users: int) -> UtilitySpec:
         if self.variant == "goodput":
@@ -101,47 +103,56 @@ class UtilityConfig:
         return UtilitySpec.exp_pricing(w)
 
 
+def _nested(path: str, default):
+    """A flat field that the JSON config keeps at a dotted path."""
+    return field(default=default, metadata={"path": path})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one sweep experiment (desk-scale defaults)."""
+    """Full description of one sweep experiment (desk-scale defaults).
+
+    Also the JSON schema: a key is the field's name or its metadata ``path``.
+    """
 
     channel: ChannelConfig = ChannelConfig(n_subchannels=16, n_users=4)
-    mcs_preset: str = "qam"
-    n_mcs: int = 4
+    mcs_preset: str = _nested("mcs.preset", "qam")
+    n_mcs: int = _nested("mcs.n_mcs", 4)
     utility: UtilityConfig = UtilityConfig()
-    sweep_variable: str = "pilot_snr_db"
-    sweep_values: tuple[float, ...] = (-10.0,)
+    sweep_variable: str = _nested("sweep.variable", "pilot_snr_db")
+    sweep_values: tuple[float, ...] = _nested("sweep.values", (-10.0,))
     n_trials: int = 50
     seed: int = 0
     kappa: float | None = None     # None -> 0.3 / P_con
     n_atoms: int = 32
     schemes: tuple[str, ...] = ALL_SCHEMES
-    subgradient_updates: int = 15
-    subgradient_scale: float = 1.0
+    subgradient_updates: int = _nested("subgradient.updates", 15)
+    subgradient_scale: float = _nested("subgradient.scale", 1.0)
 
     def __post_init__(self):
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep.variable: unknown variable "
                               f"{self.sweep_variable!r}")
-        if not self.sweep_values:
-            raise ConfigError("sweep.values: must be non-empty")
-        if len(set(self.sweep_values)) < len(self.sweep_values):
-            raise ConfigError("sweep.values: duplicate values")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials: must be at least 1")
+        for path, values in (("sweep.values", self.sweep_values),
+                             ("schemes", self.schemes)):
+            if not values:
+                raise ConfigError(f"{path}: must be non-empty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{path}: duplicate values")
+        for path, count in (("n_trials", self.n_trials), ("mcs.n_mcs", self.n_mcs),
+                            ("n_atoms", self.n_atoms),
+                            ("subgradient.updates", self.subgradient_updates)):
+            if count < 1:
+                raise ConfigError(f"{path}: must be at least 1")
+        for path, value in (("kappa", self.kappa),
+                            ("subgradient.scale", self.subgradient_scale)):
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{path}: must be positive")
         if self.mcs_preset not in ("qam", "capacity"):
             raise ConfigError(f"mcs.preset: unknown preset {self.mcs_preset!r}")
-        if self.n_mcs < 1:
-            raise ConfigError("mcs.n_mcs: must be at least 1")
         if self.utility.variant == "capacity_log" and self.mcs_preset != "capacity":
             raise ConfigError("utility.variant: capacity_log needs mcs.preset "
                               "'capacity' (rates r <= 1)")
-        if self.n_atoms < 1:
-            raise ConfigError("n_atoms: must be at least 1")
-        if self.kappa is not None and not self.kappa > 0.0:
-            raise ConfigError("kappa: must be positive")
-        if self.subgradient_updates < 1:
-            raise ConfigError("subgradient.updates: must be at least 1")
         for s in self.schemes:
             if s not in ALL_SCHEMES:
                 raise ConfigError(f"schemes: unknown scheme {s!r}")
@@ -152,22 +163,10 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         """Parse a JSON-shaped config; every error names the field's path.
 
+        A missing key keeps the value of the default ``ScenarioConfig()``.
         Also checks that the utility can be realized at every sweep value.
         """
-        top = _section(raw, "", _ROOT_FIELDS)
-        ch = _section(top["channel"], "channel", _CHANNEL_FIELDS)
-        mcs = _section(top["mcs"], "mcs", _MCS_FIELDS)
-        sweep = _section(top["sweep"], "sweep", _SWEEP_FIELDS)
-        sub = _section(top["subgradient"], "subgradient", _SUBGRADIENT_FIELDS)
-        cfg = cls(
-            channel=_at_path("channel", lambda: ChannelConfig(**ch)),
-            mcs_preset=mcs["preset"], n_mcs=mcs["n_mcs"],
-            utility=UtilityConfig(**_section(top["utility"], "utility",
-                                             _UTILITY_FIELDS)),
-            sweep_variable=sweep["variable"], sweep_values=sweep["values"],
-            n_trials=top["n_trials"], seed=top["seed"], kappa=top["kappa"],
-            n_atoms=top["n_atoms"], schemes=top["schemes"],
-            subgradient_updates=sub["updates"], subgradient_scale=sub["scale"])
+        cfg = _value(cls, raw, cls(), "")
         for value in cfg.sweep_values:
             swept = _at_path("sweep.values", lambda: cfg.at_sweep_value(value))
             _at_path("utility",
@@ -184,22 +183,7 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        ch = dataclasses.asdict(self.channel)
-        return {
-            "channel": ch,
-            "mcs": {"preset": self.mcs_preset, "n_mcs": self.n_mcs},
-            "utility": {k: v for k, v in dataclasses.asdict(self.utility).items()
-                        if v is not None},
-            "sweep": {"variable": self.sweep_variable,
-                      "values": list(self.sweep_values)},
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "kappa": self.kappa,
-            "n_atoms": self.n_atoms,
-            "schemes": list(self.schemes),
-            "subgradient": {"updates": self.subgradient_updates,
-                            "scale": self.subgradient_scale},
-        }
+        return _unparse(self, _layout(type(self)))
 
     def at_sweep_value(self, value: float) -> "ScenarioConfig":
         """Scenario with the sweep variable substituted."""
@@ -210,7 +194,7 @@ class ScenarioConfig:
             ch = replace(self.channel, snr_db=float(value))
             return replace(self, channel=ch)
         if self.sweep_variable == "n_users":
-            ch = replace(self.channel, n_users=_integer(value))
+            ch = replace(self.channel, n_users=_scalar(int, value))
             return replace(self, channel=ch)
         # weight_w1
         if not self.utility.class_weights:
@@ -221,90 +205,104 @@ class ScenarioConfig:
 
 
 def _at_path(path: str, fn):
-    """fn(), with its ValueError/TypeError reported as a ConfigError at path."""
+    """fn(), with a TypeError, ValueError or OverflowError reported as a
+    ConfigError at path."""
     try:
         return fn()
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _section(raw, name: str, fields: dict) -> dict:
-    """One config object parsed field by field.
+@functools.cache
+def _layout(cls) -> dict:
+    """JSON key -> (field name, annotation), or -> the layout of a group."""
+    hints = typing.get_type_hints(cls)
+    layout = {}
+    for f in fields(cls):
+        *groups, key = f.metadata.get("path", f.name).split(".")
+        node = layout
+        for group in groups:
+            node = node.setdefault(group, {})
+        node[key] = (f.name, hints[f.name])
+    return layout
 
-    ``fields`` maps every allowed key to (parser, default); a missing key
-    takes the default.  A non-object, an unknown key and a value its parser
-    rejects all raise a ConfigError naming the path.
+
+def _kwargs(raw, layout: dict, default, path: str) -> dict:
+    """Field values from a JSON object; a missing key keeps default's value.
+
+    A non-object, an unknown key and a value of the wrong type all raise a
+    ConfigError naming the path.
     """
     if not isinstance(raw, dict):
-        raise ConfigError(f"{name or 'config root'}: must be an object, "
+        raise ConfigError(f"{path or 'config root'}: must be an object, "
                           f"got {type(raw).__name__}")
-    prefix = f"{name}." if name else ""
+    prefix = f"{path}." if path else ""
     for key in raw:
-        if key not in fields:
+        if key not in layout:
             raise ConfigError(f"unknown config key {prefix}{key!r}")
+    kwargs = {}
+    for key, node in layout.items():
+        if isinstance(node, dict):
+            kwargs.update(_kwargs(raw.get(key, {}), node, default, prefix + key))
+            continue
+        name, hint = node
+        kwargs[name] = getattr(default, name)
+        if key in raw:
+            kwargs[name] = _value(hint, raw[key], kwargs[name], prefix + key)
+    return kwargs
+
+
+def _value(hint, raw, default, path: str):
+    """One JSON value parsed by its field's annotation."""
+    if is_dataclass(hint):
+        kwargs = _kwargs(raw, _layout(hint), default, path)
+        return _at_path(path, lambda: hint(**kwargs))
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if raw is None else _value(args[0], raw, None, path)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...] from a list
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{path}: must be a list, "
+                              f"got {type(raw).__name__}")
+        return tuple(_value(args[0], v, None, path) for v in raw)
+    return _at_path(path, lambda: _scalar(hint, raw))
+
+
+def _unparse(obj, layout: dict) -> dict:
+    """The JSON object of obj; an unset optional list is left out."""
     out = {}
-    for key, (parse, default) in fields.items():
-        out[key] = (_at_path(prefix + key, lambda: parse(raw[key]))
-                    if key in raw else default)
+    for key, node in layout.items():
+        if isinstance(node, dict):
+            out[key] = _unparse(obj, node)
+            continue
+        name, hint = node
+        value = getattr(obj, name)
+        if is_dataclass(value):
+            value = _unparse(value, _layout(type(value)))
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif value is None and tuple in map(typing.get_origin,
+                                            typing.get_args(hint)):
+            continue
+        out[key] = value
     return out
 
 
-def _optional(parse):
-    return lambda value: None if value is None else parse(value)
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _list_of(parse):
-    def parse_list(value):
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"must be a list, got {type(value).__name__}")
-        return tuple(parse(v) for v in value)
-    return parse_list
-
-
-def _raw(value):
-    return value
-
-
-def _integer(value) -> int:
-    """An integral number (3 or 3.0); a bool, a string or 2.5 is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"must be an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+def _scalar(hint, value):
+    """value as an int (3 or 3.0), a finite float or a str; never a bool."""
+    want = str if hint is str else (int, float)
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise TypeError(f"must be {_KINDS[hint]}, got {value!r}")
+    if hint is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError(f"must be a number, got {value!r}")
-    return float(value)
-
-
-_ROOT_FIELDS = {
-    "channel": (_raw, {}), "mcs": (_raw, {}), "utility": (_raw, {}),
-    "sweep": (_raw, {}), "subgradient": (_raw, {}),
-    "n_trials": (_integer, 50), "seed": (_integer, 0),
-    "kappa": (_optional(float), None), "n_atoms": (_integer, 32),
-    "schemes": (_list_of(str), ALL_SCHEMES),
-}
-_CHANNEL_FIELDS = {
-    "n_subchannels": (_integer, 16), "n_users": (_integer, 4),
-    "tap_count": (_integer, 2),
-    "tap_variance": (_optional(float), None), "snr_db": (float, 10.0),
-    "pilot_snr_db": (float, -10.0),
-}
-_MCS_FIELDS = {"preset": (str, "qam"), "n_mcs": (_integer, 4)}
-_UTILITY_FIELDS = {
-    "variant": (str, "goodput"),
-    "class_weights": (_optional(_list_of(float)), None),
-    "weights": (_optional(_list_of(float)), None),
-    "scale": (float, 1.0),
-}
-_SWEEP_FIELDS = {"variable": (str, "pilot_snr_db"),
-                 "values": (_list_of(_number), (-10.0,))}
-_SUBGRADIENT_FIELDS = {"updates": (_integer, 15), "scale": (float, 1.0)}
+    if hint is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return hint(value)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +323,9 @@ class TrialRecord:
     mu_hi: float | None
     iters: int
     runtime_ms: float
+
+
+TRIALS_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def trial_seed(root_seed: int, sweep_index: int, trial: int) -> int:
@@ -447,11 +448,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1) -> dict:
         wr = csv.writer(fh)
         wr.writerow(TRIALS_COLUMNS)
         for r in records:
-            wr.writerow([
-                r.sweep_var, _fmt(r.sweep_value), r.trial, r.scheme,
-                _fmt(r.goodput_per_subchannel), _fmt(r.utility),
-                _fmt(r.gap_bound_per_subchannel), _fmt(r.mu_lo),
-                _fmt(r.mu_hi), r.iters, _fmt(r.runtime_ms)])
+            wr.writerow([_fmt(getattr(r, c)) for c in TRIALS_COLUMNS])
 
     summary = summarize(records)
     summary_path = out / "summary.csv"
@@ -459,8 +456,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1) -> dict:
         wr = csv.writer(fh)
         wr.writerow(SUMMARY_COLUMNS)
         for row in summary:
-            wr.writerow([row[c] if not isinstance(row[c], float) else _fmt(row[c])
-                         for c in SUMMARY_COLUMNS])
+            wr.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
 
     canonical = json.dumps(cfg.to_dict(), sort_keys=True)
     manifest = {

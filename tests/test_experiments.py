@@ -1,10 +1,12 @@
 """Scenario config parsing, trial determinism, CSV/manifest outputs, CLI."""
 
 import csv
+import hashlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,22 @@ from ofdma_sra import ChannelConfig, ConfigError, ScenarioConfig, run_trial
 from ofdma_sra.cli import main as cli_main
 from ofdma_sra.experiments import (SUMMARY_COLUMNS, TRIALS_COLUMNS,
                                    run_scenario, trial_seed)
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# manifest config_sha256 of every shipped config; a change moves every run's hash
+CONFIG_SHA256 = {
+    "pilot_sweep_desk.json":
+        "ad7875558c3da972e2c0d8b6ff87ecd5da74ddac11fc857db8f4c142e93f3798",
+    "pilot_sweep_full.json":
+        "5c4582658834ee0cfe835eb6d637afc0d1838cda19625e8b01c5b62e4c82739a",
+    "pricing_sweep_desk.json":
+        "527d1b1e81488757926d761fff58c6705637afd33d64afc7b98047f7f2fc6d82",
+    "snr_sweep_desk.json":
+        "61c6e1363489e63a6817b138bcaa9b1f0391ed3499271c0d767485223601dd25",
+    "users_sweep_desk.json":
+        "22619054314c64f12b27478ee6f8aefb7eb72f79a84779dcd03d3c2e1fdac376",
+}
 
 TINY = ScenarioConfig(
     channel=ChannelConfig(n_subchannels=6, n_users=2),
@@ -24,6 +42,39 @@ def test_config_roundtrip():
     d = TINY.to_dict()
     again = ScenarioConfig.from_dict(json.loads(json.dumps(d)))
     assert again == TINY
+
+
+def config_sha256(cfg):
+    """The manifest's hash: sha256 of the key-sorted JSON of to_dict()."""
+    canonical = json.dumps(cfg.to_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+SHIPPED = {**{p.name: json.loads(p.read_text())
+              for p in sorted(CONFIGS.glob("*.json"))},
+           **{f"golden:{k}": raw for k, raw in GOLDEN_SCENARIOS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_roundtrip(name):
+    cfg = ScenarioConfig.from_dict(SHIPPED[name])
+    again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+
+
+def test_config_sha256_pinned():
+    got = {p.name: config_sha256(ScenarioConfig.from_file(p))
+           for p in sorted(CONFIGS.glob("*.json"))}
+    assert got == CONFIG_SHA256
+
+
+def test_missing_keys_take_defaults():
+    assert ScenarioConfig.from_dict({}) == ScenarioConfig()
+    d = ScenarioConfig().to_dict()
+    # an unset optional number is written as null, an unset optional list
+    # is left out
+    assert d["kappa"] is None and d["channel"]["tap_variance"] is None
+    assert "weights" not in d["utility"] and "class_weights" not in d["utility"]
 
 
 def test_config_rejects_unknown_keys():
@@ -90,6 +141,42 @@ BAD_CONFIGS = [
     ({"subgradient": {"updates": 0}},
      r"^subgradient\.updates: must be at least 1"),
     ([], r"^config root: must be an object"),
+    # numbers are finite JSON numbers, strings are strings
+    ({"kappa": "0.5"}, r"^kappa: must be a number, got '0\.5'"),
+    ({"channel": {"snr_db": True}},
+     r"^channel\.snr_db: must be a number, got True"),
+    ({"utility": {"variant": "exp_pricing", "class_weights": ["1", 2]}},
+     r"^utility\.class_weights: must be a number, got '1'"),
+    ({"sweep": {"values": ["1"]}}, r"^sweep\.values: must be a number, got '1'"),
+    ({"channel": {"pilot_snr_db": float("nan")}},
+     r"^channel\.pilot_snr_db: must be finite, got nan"),
+    ({"channel": {"snr_db": float("inf")}},
+     r"^channel\.snr_db: must be finite, got inf"),
+    ({"channel": {"tap_variance": float("nan")}},
+     r"^channel\.tap_variance: must be finite, got nan"),
+    ({"kappa": float("inf")}, r"^kappa: must be finite, got inf"),
+    ({"kappa": 10 ** 400}, r"^kappa: int too large to convert to float"),
+    ({"sweep": {"values": [-10.0, float("nan")]}},
+     r"^sweep\.values: must be finite, got nan"),
+    ({"mcs": {"preset": 5}}, r"^mcs\.preset: must be a string, got 5"),
+    ({"sweep": {"variable": None}},
+     r"^sweep\.variable: must be a string, got None"),
+    ({"utility": {"variant": ["goodput"]}},
+     r"^utility\.variant: must be a string"),
+    ({"schemes": ["FP-RUS", 1]}, r"^schemes: must be a string, got 1"),
+    # schemes, like sweep values, are non-empty and distinct
+    ({"schemes": []}, r"^schemes: must be non-empty"),
+    ({"schemes": ["FP-RUS", "FP-RUS"]}, r"^schemes: duplicate values"),
+    # values the run would ignore or misuse
+    ({"subgradient": {"scale": -1.0}},
+     r"^subgradient\.scale: must be positive"),
+    ({"subgradient": {"scale": 0}}, r"^subgradient\.scale: must be positive"),
+    ({"utility": {"variant": "goodput", "class_weights": [1, 2]},
+      "sweep": {"variable": "weight_w1", "values": [0.5, 1.0]}},
+     r"^utility\.class_weights: goodput takes no weights"),
+    ({"mcs": {"preset": "capacity"},
+      "utility": {"variant": "capacity_log", "weights": [1, 1, 1, 1]}},
+     r"^utility\.weights: capacity_log takes no weights"),
 ]
 
 
@@ -160,7 +247,10 @@ def test_run_scenario_outputs(tmp_path):
     manifest = json.loads(out["manifest"].read_text())
     assert manifest["root_seed"] == 11
     assert manifest["n_records"] == len(rows) - 1
-    assert "config_sha256" in manifest
+    canonical = json.dumps(manifest["config"], sort_keys=True)
+    assert manifest["config_sha256"] == hashlib.sha256(
+        canonical.encode()).hexdigest()
+    assert manifest["config"] == TINY.to_dict()
 
 
 def _csv_rows(path):
@@ -278,6 +368,18 @@ def test_cli_field_error_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert re.search(pattern, err[len("config error: "):]), (raw, err)
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_schemes_override_is_checked(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "channel": {"n_subchannels": 4, "n_users": 2},
+        "sweep": {"values": [-10.0]}, "n_trials": 1, "n_atoms": 4})
+    for schemes, message in ((",", "schemes: must be non-empty"),
+                             ("FP-RUS,FP-RUS", "schemes: duplicate values")):
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                         "--schemes", schemes]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
 
