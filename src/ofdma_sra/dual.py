@@ -32,21 +32,19 @@ V_TIE_RTOL = 1e-9
 
 @dataclass(eq=False)
 class ProblemInstance:
-    """One solvable scheduling problem: distributions, MCS table, utility, budget."""
+    """One scheduling problem: an (N, K) batch of SNR laws, MCS table, utility, budget."""
 
     mcs: McsTable
     utility: UtilitySpec
-    dists: list[list[SnrDistribution]]  # indexed [subchannel][user]
+    dists: SnrDistribution  # one batch: values and weights (N, K, atoms)
     p_con: float
 
     def __post_init__(self):
         if self.p_con <= 0.0 or not np.isfinite(self.p_con):
             raise ValueError("power budget must be positive and finite")
-        if not self.dists or not self.dists[0]:
-            raise ValueError("need at least one subchannel and one user")
-        k = len(self.dists[0])
-        if any(len(row) != k for row in self.dists):
-            raise ValueError("ragged distribution matrix")
+        if not isinstance(self.dists, SnrDistribution) or self.dists.values.ndim != 3:
+            raise ValueError("dists must be an SnrDistribution of shape (N, K, atoms)")
+        k = self.n_users
         if k != self.mcs.n_users:
             raise ValueError("MCS table user count does not match distributions")
         if self.utility.n_users != k:
@@ -60,11 +58,11 @@ class ProblemInstance:
 
     @property
     def n_subchannels(self) -> int:
-        return len(self.dists)
+        return self.dists.values.shape[0]
 
     @property
     def n_users(self) -> int:
-        return len(self.dists[0])
+        return self.dists.values.shape[1]
 
     @property
     def n_mcs(self) -> int:
@@ -79,21 +77,14 @@ class ProblemInstance:
     def flat(self) -> dict:
         """Arrays over combinations c = (n*K + k)*M + m, cached."""
         if self._flat is None:
-            n_sub, n_usr, _ = self.shape
-            n_atoms = max(d.n_atoms for row in self.dists for d in row)
-            gamma = np.zeros((n_sub, n_usr, 1, n_atoms))
-            w = np.zeros((n_sub, n_usr, 1, n_atoms))
-            for n, row in enumerate(self.dists):
-                for k, d in enumerate(row):
-                    gamma[n, k, 0, :d.n_atoms] = d.values
-                    w[n, k, 0, :d.n_atoms] = d.weights
+            atoms = (self.dists.n_atoms,)
 
             def per_combination(arr, tail=()):
                 return np.broadcast_to(arr, self.shape + tail).reshape(-1, *tail)
 
             self._flat = {
-                "gamma": per_combination(gamma, (n_atoms,)),
-                "w": per_combination(w, (n_atoms,)),
+                "gamma": per_combination(self.dists.values[:, :, None], atoms),
+                "w": per_combination(self.dists.weights[:, :, None], atoms),
                 "a": per_combination(self.mcs.a),
                 "b": per_combination(self.mcs.b),
                 "r": per_combination(self.mcs.r),

@@ -47,8 +47,8 @@ from .csra import solve_csra
 from .dsra import solve_dsra
 from .dual import (AllocationState, ProblemInstance, allocation_goodput,
                    allocation_utility)
-from .snr import (ChannelConfig, SnrDistribution, _conditional_snr_dists,
-                  conditional_snr_dist, draw_channel, mmse_estimate)
+from .snr import (ChannelConfig, SnrDistribution, conditional_snr_dist,
+                  draw_channel, mmse_estimate)
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
 ALL_SCHEMES = ("CSRA-PCSI", "CSRA-ICSI", "DSRA-ICSI", "FP-RUS", "SUBGRAD-ICSI")
@@ -73,6 +73,8 @@ class UtilityConfig:
     def __post_init__(self):
         if self.variant not in UTILITY_CODES:
             raise ConfigError(f"utility.variant: unknown variant {self.variant!r}")
+        if self.scale != 1.0 and self.variant != "capacity_log":
+            raise ConfigError(f"utility.scale: {self.variant} takes no scale")
         for name in ("weights", "class_weights"):
             if (getattr(self, name) is not None
                     and self.variant in ("goodput", "capacity_log")):
@@ -187,11 +189,8 @@ class ScenarioConfig:
 
     def at_sweep_value(self, value: float) -> "ScenarioConfig":
         """Scenario with the sweep variable substituted."""
-        if self.sweep_variable == "pilot_snr_db":
-            ch = replace(self.channel, pilot_snr_db=float(value))
-            return replace(self, channel=ch)
-        if self.sweep_variable == "snr_db":
-            ch = replace(self.channel, snr_db=float(value))
+        if self.sweep_variable in ("pilot_snr_db", "snr_db"):
+            ch = replace(self.channel, **{self.sweep_variable: float(value)})
             return replace(self, channel=ch)
         if self.sweep_variable == "n_users":
             ch = replace(self.channel, n_users=_scalar(int, value))
@@ -347,22 +346,21 @@ def build_trial_instances(cfg: ScenarioConfig, seed: int) -> dict:
         mcs = McsTable.capacity(k_users)
     util = cfg.utility.realize(k_users)
 
-    atoms = _conditional_snr_dists(est.mean, est.est_error_var, cfg.n_atoms)
-    icsi = [atoms[n * k_users:(n + 1) * k_users] for n in range(ch.n_subchannels)]
-    pcsi = [[SnrDistribution.point_mass(realization.true_snr[n, k])
-             for k in range(k_users)] for n in range(ch.n_subchannels)]
-    # channel prior: taps are CN(0, sigma_g^2) so gamma ~ |CN(0, L*sigma_g2)|^2;
-    # one shared discretization since the prior is user/subchannel independent
-    prior_var = ch.tap_count * ch.sigma_g2
-    prior = conditional_snr_dist(0.0, prior_var, cfg.n_atoms)
-    prior_rows = [[prior for _ in range(k_users)] for _ in range(ch.n_subchannels)]
+    icsi = conditional_snr_dist(est.mean, est.est_error_var, cfg.n_atoms)
+    pcsi = SnrDistribution.point_mass(realization.true_snr)
+    # channel prior: taps are CN(0, sigma_g^2) so gamma ~ |CN(0, L*sigma_g2)|^2,
+    # one law at every (subchannel, user); its equal weights renormalize to
+    # the same bits
+    prior = conditional_snr_dist(0.0, ch.tap_count * ch.sigma_g2, cfg.n_atoms)
+    shape = realization.true_snr.shape + (prior.n_atoms,)
+    prior = SnrDistribution(np.broadcast_to(prior.values, shape),
+                            np.broadcast_to(prior.weights, shape))
 
     p_con = ch.p_con
     return {
         "icsi": ProblemInstance(mcs=mcs, utility=util, dists=icsi, p_con=p_con),
         "pcsi": ProblemInstance(mcs=mcs, utility=util, dists=pcsi, p_con=p_con),
-        "prior": ProblemInstance(mcs=mcs, utility=util, dists=prior_rows,
-                                 p_con=p_con),
+        "prior": ProblemInstance(mcs=mcs, utility=util, dists=prior, p_con=p_con),
     }
 
 

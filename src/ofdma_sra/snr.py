@@ -12,8 +12,8 @@ y_k = sqrt(p_pilot) h_k + noise, forms the MMSE estimate of h_k, and works
 with the conditional law of gamma given the pilots: |Z|^2 for
 Z ~ CN(hhat, sigma_e^2), a (scaled) non-central chi-squared with two
 degrees of freedom.  All of those conditional laws are reduced to weighted
-atoms (``SnrDistribution``), which makes every expectation downstream a
-finite sum and the whole solve deterministic.
+atoms, one ``SnrDistribution`` batch for a whole (N, K) grid, which makes
+every expectation downstream a finite sum and the whole solve deterministic.
 
 Seeding: every randomized operation takes one integer ``seed`` and derives
 an internal stream with ``np.random.SeedSequence(seed, spawn_key=(k,))``,
@@ -59,6 +59,13 @@ class ChannelConfig:
             raise ValueError("tap count must be smaller than the number of subchannels")
         if self.tap_variance is not None and self.tap_variance <= 0:
             raise ValueError("tap variance must be positive")
+        try:  # a pilot power of 0, no pilot, is allowed
+            finite = 0.0 < self.p_con < np.inf and self.pilot_power < np.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("snr_db must give a positive, finite power budget "
+                             "and pilot_snr_db a finite pilot power")
 
     @property
     def sigma_g2(self) -> float:
@@ -143,33 +150,36 @@ def mmse_estimate(cfg: ChannelConfig, realization: ChannelRealization,
 
 
 class SnrDistribution:
-    """Marginal law of one subchannel SNR as weighted atoms.
+    """A batch of subchannel SNR laws as weighted atoms: ``values`` and
+    ``weights`` have shape batch + (atoms,), one law along the last axis.
 
-    Expectations are exact finite sums over the atoms, which is the whole
-    point: every root-find and every oracle downstream sees the same numbers.
-    Weights are normalized to sum to one (the heaviest atom absorbs the
-    rounding remainder so that the constant-1 expectation is exactly 1.0).
+    Expectations are exact finite sums over the atoms, so every root-find and
+    every oracle downstream sees the same numbers.  Zero weights pad a law
+    with fewer atoms.  Each law's weights are divided by their total, then
+    its heaviest atom absorbs the rounding remainder (twice) so that the
+    constant-1 expectation is exactly 1.0; the bits do not depend on the batch.
     """
 
     __slots__ = ("values", "weights")
 
     def __init__(self, values, weights):
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        if values.shape != weights.shape or values.ndim != 1 or values.size == 0:
-            raise ValueError("values and weights must be equal-length 1-D arrays")
-        if np.any(values < 0.0):
-            raise ValueError("SNR atoms must be nonnegative")
-        if np.any(weights <= 0.0):
-            raise ValueError("atom weights must be positive")
-        total = weights.sum()
-        if not np.isfinite(total) or total <= 0.0:
+        values = np.array(values, dtype=float, ndmin=1)
+        weights = np.array(weights, dtype=float, ndmin=1, order="C")
+        if values.shape != weights.shape or values.size == 0:
+            raise ValueError("values and weights need one nonempty shape")
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
+            raise ValueError("SNR atoms must be finite and nonnegative")
+        if not np.all(weights >= 0.0):
+            raise ValueError("atom weights must be nonnegative")
+        laws = weights.reshape(-1, weights.shape[-1])  # C order: a view
+        total = _law_sums(laws)
+        if not np.all(np.isfinite(total) & (total > 0.0)):
             raise ValueError("atom weights must have a positive finite sum")
-        weights = weights / total
-        imax = int(np.argmax(weights))
+        laws /= total[:, None]
+        rows, heaviest = np.arange(len(laws)), laws.argmax(axis=1)
         for _ in range(2):
-            weights[imax] += 1.0 - weights.sum()
-        if abs(weights.sum() - 1.0) > 1e-12:
+            laws[rows, heaviest] += 1.0 - _law_sums(laws)
+        if np.any(abs(_law_sums(laws) - 1.0) > 1e-12):
             raise ValueError("atom weights failed to normalize")
         values.flags.writeable = False
         weights.flags.writeable = False
@@ -177,24 +187,31 @@ class SnrDistribution:
         self.weights = weights
 
     @classmethod
-    def point_mass(cls, value: float) -> "SnrDistribution":
-        return cls([value], [1.0])
+    def point_mass(cls, values) -> "SnrDistribution":
+        """One atom of weight 1 at each entry of values (batch = its shape)."""
+        values = np.asarray(values, dtype=float)[..., None]
+        return cls(values, np.ones_like(values))
 
     @property
     def n_atoms(self) -> int:
-        return self.values.size
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.values))
-
-    def __repr__(self):  # pragma: no cover
-        return f"SnrDistribution(n_atoms={self.n_atoms}, mean={self.mean:.4g})"
+        return self.values.shape[-1]
 
 
-def conditional_snr_dist(hhat: complex, est_error_var: float,
+def _law_sums(laws: np.ndarray) -> np.ndarray:
+    """Each row's sum up to its last nonzero entry, summed as that row alone:
+    numpy's pairwise sum groups terms by row length, so zero padding would
+    move the last bits."""
+    length = laws.shape[1] - np.argmax(laws[:, ::-1] != 0.0, axis=1)
+    sums = np.empty(len(laws))
+    for n in np.unique(length):
+        sums[length == n] = laws[length == n, :n].sum(axis=1)
+    return sums
+
+
+def conditional_snr_dist(hhat, est_error_var: float,
                          n_atoms: int = DEFAULT_N_ATOMS) -> SnrDistribution:
-    """Discretize the law of |Z|^2, Z ~ CN(hhat, sigma_e^2), into atoms.
+    """Discretize the law of |Z|^2, Z ~ CN(hhat, sigma_e^2) into atoms, for
+    each entry of hhat: the batch has hhat's shape.
 
     Equiprobable quantile bins: [0,1] is split into ``n_atoms`` bins of mass
     1/n_atoms and each bin contributes one atom at its conditional mean.  In
@@ -203,41 +220,30 @@ def conditional_snr_dist(hhat: complex, est_error_var: float,
     x f_{2,nc}(x) = 2 f_{4,nc}(x) + nc f_{6,nc}(x), so each conditional mean
     is an exact CDF difference rather than a quadrature.  The atom mean is
     |hhat|^2 + sigma_e^2 by construction.
-    """
-    return _conditional_snr_dists(np.array([hhat]), est_error_var, n_atoms)[0]
 
-
-def _conditional_snr_dists(hhat: np.ndarray, est_error_var: float,
-                           n_atoms: int) -> list[SnrDistribution]:
-    """``conditional_snr_dist`` of every entry of hhat (flattened, C order).
-
-    The laws share est_error_var, so the quantile edges and the bin masses
-    of all of them come from one ``ncx2.ppf`` and three ``ncx2.cdf`` calls on
-    a (laws, n_atoms + 1) grid; each element is computed exactly as it would
-    be on its own.
+    All laws come from one ``ncx2.ppf`` and three ``ncx2.cdf`` calls on a
+    (laws, n_atoms + 1) grid.  A spike law is atom 0 with weight 1 and zero
+    padding; a batch of point masses only has one atom per law.
     """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
     if est_error_var < 0.0:
         raise ValueError("estimation error variance must be nonnegative")
-    # C pow, as numpy's scalar ** does; the array ** squares, which differs
-    # from it in the last bit for about 0.1 % of inputs
+    shape = np.shape(hhat)
+    # |hhat|^2 by C pow, not by squaring: the two differ in the last bit for
+    # about 0.1 % of inputs, and the pinned outputs use pow
     center = np.float_power(np.abs(np.ravel(hhat)), 2.0)
     if est_error_var == 0.0:
-        return [SnrDistribution.point_mass(c) for c in center]
-    if n_atoms == 1:
-        return [SnrDistribution.point_mass(c + est_error_var) for c in center]
-
-    nc = 2.0 * center / est_error_var
+        return SnrDistribution.point_mass(center.reshape(shape))
     # relative width sqrt(2/nc) < 1.5e-4: the law is a spike and the
     # chi-squared special functions degrade; one atom at the mean keeps
     # both moments within ~2/nc relative error
+    nc = 2.0 * center / est_error_var
     spike = nc > NC_COLLAPSE_THRESHOLD
-    out = [SnrDistribution.point_mass(c + est_error_var) if sp else None
-           for c, sp in zip(center, spike)]
-    laws = np.flatnonzero(~spike)
-    if laws.size == 0:
-        return out
+    if n_atoms == 1 or np.all(spike):
+        return SnrDistribution.point_mass((center + est_error_var).reshape(shape))
+
+    laws = ~spike
     nc = nc[laws, None]
     probs = np.linspace(0.0, 1.0, n_atoms + 1)
     edges = ncx2.ppf(probs, 2, nc)
@@ -248,8 +254,11 @@ def _conditional_snr_dists(hhat: np.ndarray, est_error_var: float,
     good = mass > 0.0
     # degenerate bins (ppf saturation in extreme tails): mean-preserving fallback
     means = np.where(good, numer / np.where(good, mass, 1.0), 2.0 + nc)
-    values = 0.5 * est_error_var * np.maximum(means, 0.0)
-    weights = np.full(n_atoms, 1.0 / n_atoms)
-    for i, row in zip(laws, values):
-        out[i] = SnrDistribution(row, weights)
-    return out
+    values = np.zeros((center.size, n_atoms))
+    weights = np.zeros((center.size, n_atoms))
+    values[spike, 0] = center[spike] + est_error_var
+    weights[spike, 0] = 1.0
+    values[laws] = 0.5 * est_error_var * np.maximum(means, 0.0)
+    weights[laws] = 1.0 / n_atoms
+    return SnrDistribution(values.reshape(shape + (n_atoms,)),
+                           weights.reshape(shape + (n_atoms,)))

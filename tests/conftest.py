@@ -15,10 +15,8 @@ from ofdma_sra import (McsTable, ProblemInstance, SnrDistribution, UtilitySpec)
 
 def point_mass_instance(gammas, p_con, mcs=None, utility=None):
     """Instance from an (N, K) array of point-mass SNRs."""
-    gammas = np.asarray(gammas, dtype=float)
-    n_sub, n_usr = gammas.shape
-    dists = [[SnrDistribution.point_mass(gammas[n, k]) for k in range(n_usr)]
-             for n in range(n_sub)]
+    dists = SnrDistribution.point_mass(gammas)
+    n_usr = dists.values.shape[1]
     if mcs is None:
         mcs = McsTable.qam(n_usr, 2)
     if utility is None:
@@ -31,8 +29,10 @@ def combo_instance(dist, mcs=(1.0, 0.5, 2.0), utility=None, p_con=1.0):
     a, b, r = mcs
     if utility is None:
         utility = UtilitySpec.goodput(1)
+    dists = SnrDistribution(dist.values.reshape(1, 1, -1),
+                            dist.weights.reshape(1, 1, -1))
     return ProblemInstance(mcs=McsTable(a=[[a]], b=[[b]], r=[[r]]),
-                           utility=utility, dists=[[dist]], p_con=p_con)
+                           utility=utility, dists=dists, p_con=p_con)
 
 
 def single_combo_instance(gamma=1.0, a=1.0, b=0.5, r=2.0, p_con=1.0):
@@ -45,9 +45,9 @@ def atom_instance(seed, n_sub=3, n_usr=3, n_mcs=3, n_atoms=8, p_con=30.0,
                   utility=None):
     """Random atom-distribution instance (exponential-ish SNR laws)."""
     rng = np.random.default_rng(seed)
-    dists = [[SnrDistribution(rng.exponential(1.0, n_atoms),
-                              np.full(n_atoms, 1.0 / n_atoms))
-              for _ in range(n_usr)] for _ in range(n_sub)]
+    shape = (n_sub, n_usr, n_atoms)
+    dists = SnrDistribution(rng.exponential(1.0, shape),
+                            np.full(shape, 1.0 / n_atoms))
     if utility is None:
         utility = UtilitySpec.goodput(n_usr)
     return ProblemInstance(mcs=McsTable.qam(n_usr, n_mcs), utility=utility,

@@ -123,10 +123,11 @@ def test_empty_upper_end():
 def test_budget_slack_collapses_the_bracket():
     # atoms 60 decades apart: even mu_min does not spend the budget, so the
     # lower end never moves and the bracket collapses onto it
-    law = SnrDistribution([1e-30, 1e30], [0.5, 0.5])
+    laws = SnrDistribution(np.tile([1e-30, 1e30], (4, 1, 1)),
+                           np.full((4, 1, 2), 0.5))
     inst = ProblemInstance(mcs=McsTable.qam(1, 2),
                            utility=UtilitySpec.goodput(1),
-                           dists=[[law] for _ in range(4)], p_con=16.0)
+                           dists=laws, p_con=16.0)
     csra = solve_csra(inst)
     assert csra.budget_slack
     assert csra.mu_lo == csra.mu_hi == csra.mu_min
@@ -155,7 +156,7 @@ def make_tie_instance():
     """Two combinations whose scores cross while both are active, with the
     budget placed inside the resulting total-power jump."""
     mcs = McsTable(a=[[1.0], [1.0]], b=[[0.25], [0.9]], r=[[3.0], [2.0]])
-    dists = [[SnrDistribution.point_mass(1.0), SnrDistribution.point_mass(1.4)]]
+    dists = SnrDistribution.point_mass([[1.0, 1.4]])
     probe = ProblemInstance(mcs=mcs, utility=UtilitySpec.goodput(2),
                             dists=dists, p_con=6.0)
 

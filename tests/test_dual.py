@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ofdma_sra import (AllocationState, SnrDistribution, UtilitySpec,
-                       allocation_utility, evaluate_mu, mu_bounds)
+from ofdma_sra import (AllocationState, ProblemInstance, SnrDistribution,
+                       UtilitySpec, allocation_utility, evaluate_mu, mu_bounds)
 from ofdma_sra.dual import _tie_mask
 from conftest import (closed_form_power, closed_form_v, combo_instance,
                       mcs_entry, point_mass_instance, single_combo_instance)
@@ -192,7 +192,7 @@ def test_jump_structure_only_at_ties():
     inst = ProblemInstance(
         mcs=McsTable(a=[[1.0], [1.0]], b=[[0.25], [0.9]], r=[[3.0], [2.0]]),
         utility=UtilitySpec.goodput(2),
-        dists=[[SnrDistribution.point_mass(1.0), SnrDistribution.point_mass(1.4)]],
+        dists=SnrDistribution.point_mass([[1.0, 1.4]]),
         p_con=6.0)
     lo, hi = mu_bounds(inst)
     # log spacing keeps the grid fine where p*(mu) ~ log(1/mu) is steep
@@ -257,3 +257,15 @@ def test_allocation_utility_zero():
     inst = single_combo_instance()
     empty = AllocationState(np.zeros(inst.shape), np.zeros(inst.shape))
     assert allocation_utility(inst, empty) == 0.0
+
+
+def test_instance_takes_one_n_k_atoms_batch():
+    inst = point_mass_instance([[1.0, 2.0], [0.5, 1.5], [1.2, 0.3]], p_con=3.0)
+    assert inst.shape == (3, 2, 2)
+    assert inst.flat()["gamma"].shape == (12, 1)
+    good = dict(mcs=inst.mcs, utility=inst.utility, p_con=3.0)
+    for dists in (SnrDistribution.point_mass([1.0, 2.0]),         # (K, A)
+                  SnrDistribution.point_mass(np.ones((3, 2, 2))),  # 4-D
+                  [[SnrDistribution.point_mass(1.0)] * 2] * 3):    # nested list
+        with pytest.raises(ValueError, match=r"shape \(N, K, atoms\)"):
+            ProblemInstance(dists=dists, **good)

@@ -177,6 +177,16 @@ BAD_CONFIGS = [
     ({"mcs": {"preset": "capacity"},
       "utility": {"variant": "capacity_log", "weights": [1, 1, 1, 1]}},
      r"^utility\.weights: capacity_log takes no weights"),
+    ({"utility": {"variant": "goodput", "scale": 0.5}},
+     r"^utility\.scale: goodput takes no scale"),
+    # dB fields whose linear power overflows or underflows
+    ({"channel": {"snr_db": 4000}}, r"^channel: snr_db must give a positive"),
+    ({"channel": {"snr_db": -4000}}, r"^channel: snr_db must give a positive"),
+    ({"channel": {"pilot_snr_db": 4000},
+      "sweep": {"variable": "snr_db", "values": [10.0]}},
+     r"^channel: snr_db .* pilot_snr_db a finite pilot power"),
+    ({"sweep": {"variable": "snr_db", "values": [10.0, 4000.0]}},
+     r"^sweep\.values: snr_db must give a positive"),
 ]
 
 
@@ -184,6 +194,16 @@ def test_config_field_errors():
     for raw, pattern in BAD_CONFIGS:
         with pytest.raises(ConfigError, match=pattern):
             ScenarioConfig.from_dict(raw)
+
+
+def test_no_pilot_still_runs():
+    # pilot power 10^(-400) underflows to 0: the estimate is the prior
+    raw = TINY.to_dict()
+    raw["sweep"]["values"] = [-4000.0]
+    cfg = ScenarioConfig.from_dict(raw)
+    assert cfg.at_sweep_value(-4000.0).channel.pilot_power == 0.0
+    records = run_trial(cfg, 0, 0)
+    assert all(np.isfinite(r.utility) for r in records)
 
 
 def test_integral_floats_are_integers():

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdma_sra import (ChannelConfig, SnrDistribution, conditional_snr_dist,
                        draw_channel, mmse_estimate)
 from ofdma_sra import snr
-from ofdma_sra.snr import NC_COLLAPSE_THRESHOLD, _conditional_snr_dists
+from ofdma_sra.snr import NC_COLLAPSE_THRESHOLD
+
+
+def mean(d):
+    return np.sum(d.weights * d.values, axis=-1)
 
 
 def second_moment(d):
-    return float(np.dot(d.weights, d.values ** 2))
+    return np.sum(d.weights * d.values ** 2, axis=-1)
 
 
 def from_samples(samples):
@@ -140,12 +146,12 @@ def test_zero_error_gives_point_mass():
 
 def test_exponential_case_mean():
     d = conditional_snr_dist(0.0, 1.0, 64)
-    assert d.mean == pytest.approx(1.0, rel=5e-3)
+    assert mean(d) == pytest.approx(1.0, rel=5e-3)
 
 
 def test_noncentral_mean():
     d = conditional_snr_dist(1.0, 0.5, 64)
-    assert d.mean == pytest.approx(1.5, rel=5e-3)
+    assert mean(d) == pytest.approx(1.5, rel=5e-3)
 
 
 def test_second_moments():
@@ -177,7 +183,7 @@ def test_spike_collapse_guard():
     # at the mean replaces the (numerically fragile) chi-squared quantiles
     d = conditional_snr_dist(1.0, 1e-21, 64)
     assert d.n_atoms == 1
-    assert d.mean == pytest.approx(1.0)
+    assert mean(d) == pytest.approx(1.0)
 
 
 def test_perfect_pilot_pipeline_matches_truth():
@@ -185,20 +191,23 @@ def test_perfect_pilot_pipeline_matches_truth():
     c = cfg(n=6, k=2, l=2, pilot=200.0)
     real = draw_channel(c, seed=8)
     est = mmse_estimate(c, real, seed=8)
-    for n in range(6):
-        for k in range(2):
-            d = conditional_snr_dist(est.mean[n, k], est.est_error_var, 32)
-            assert d.mean == pytest.approx(real.true_snr[n, k], rel=1e-8)
+    d = conditional_snr_dist(est.mean, est.est_error_var, 32)
+    np.testing.assert_allclose(mean(d), real.true_snr, rtol=1e-8)
 
 
 def assert_batch_matches_single(hhat, s2, n_atoms):
-    batch = _conditional_snr_dists(hhat, s2, n_atoms)
-    assert len(batch) == np.size(hhat)
-    for h, d in zip(np.ravel(hhat), batch):
+    """Each law of the batch has the bits of the same law built alone; the
+    atoms past the lone law's count are zero-valued, zero-weight padding."""
+    batch = conditional_snr_dist(hhat, s2, n_atoms)
+    assert batch.values.shape == np.shape(hhat) + (batch.n_atoms,)
+    rows = zip(np.ravel(hhat), batch.values.reshape(-1, batch.n_atoms),
+               batch.weights.reshape(-1, batch.n_atoms))
+    for h, values, weights in rows:
         one = conditional_snr_dist(h, s2, n_atoms)
-        assert d.n_atoms == one.n_atoms
-        assert np.array_equal(d.values, one.values)
-        assert np.array_equal(d.weights, one.weights)
+        assert np.array_equal(values[:one.n_atoms], one.values)
+        assert np.array_equal(weights[:one.n_atoms], one.weights)
+        assert not np.any(values[one.n_atoms:])
+        assert not np.any(weights[one.n_atoms:])
     return batch
 
 
@@ -209,7 +218,12 @@ def test_batched_atoms_match_single_laws():
     hhat = np.array([[0.0, 0.3 + 1.0j, 2.0 - 0.1j],
                      [1e-9j, h_spike, 0.7]])
     batch = assert_batch_matches_single(hhat, s2, 32)
-    assert [d.n_atoms for d in batch] == [32, 32, 32, 32, 1, 32]
+    assert batch.n_atoms == 32
+    # the spike keeps a single atom at its mean; the rest of its row is padding
+    assert np.count_nonzero(batch.weights, axis=-1).tolist() == [[32, 32, 32],
+                                                                 [32, 1, 32]]
+    assert batch.weights[1, 1, 0] == 1.0
+    assert batch.values[1, 1, 0] == np.abs(h_spike) ** 2 + s2
     # a pilot-estimated channel at full atom count
     c = cfg(n=8, k=3, pilot=-10.0)
     est = mmse_estimate(c, draw_channel(c, seed=4), seed=4)
@@ -217,14 +231,16 @@ def test_batched_atoms_match_single_laws():
 
 
 def test_batched_atoms_degenerate_cases():
+    # batches of point masses only have one atom per law
     hhat = np.array([0.0, 0.8 + 0.6j, 3.0])
     exact = assert_batch_matches_single(hhat, 0.0, 64)
-    assert [d.n_atoms for d in exact] == [1, 1, 1]
+    assert exact.values.shape == (3, 1)
     single = assert_batch_matches_single(hhat, 0.25, 1)
-    assert [d.n_atoms for d in single] == [1, 1, 1]
-    assert single[1].values[0] == pytest.approx(1.25)
+    assert single.values.shape == (3, 1)
+    assert single.values[1, 0] == pytest.approx(1.25)
     spikes = assert_batch_matches_single(hhat[1:], 1e-21, 16)
-    assert [d.n_atoms for d in spikes] == [1, 1]
+    assert spikes.values.shape == (2, 1)
+    assert np.all(spikes.weights == 1.0)
 
 
 def test_batched_centers_match_scalar_square():
@@ -232,9 +248,9 @@ def test_batched_centers_match_scalar_square():
     # instead and differs in the last bit for about one input in a thousand
     rng = np.random.default_rng(11)
     hhat = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-    batch = _conditional_snr_dists(hhat, 0.0, 8)
+    batch = conditional_snr_dist(hhat, 0.0, 8)
     want = [float(np.abs(h) ** 2) for h in hhat]
-    assert [d.values[0] for d in batch] == want
+    assert batch.values[:, 0].tolist() == want
 
 
 def test_batched_atoms_degenerate_bin_fallback(monkeypatch):
@@ -257,9 +273,62 @@ def test_batched_atoms_degenerate_bin_fallback(monkeypatch):
 
     monkeypatch.setattr(snr, "ncx2", Ncx2)
     batch = assert_batch_matches_single(hhat, s2, 8)
-    assert batch[1].values[1] == 0.5 * s2 * (2.0 + target)
-    for d in (batch[0], batch[2]):
-        assert np.all(np.diff(d.values) > 0.0)
+    assert batch.values[1, 1] == 0.5 * s2 * (2.0 + target)
+    for values in batch.values[[0, 2]]:
+        assert np.all(np.diff(values) > 0.0)
+
+
+# -- weight normalization ------------------------------------------------------
+
+
+def normalized_alone(weights):
+    """One law's weights normalized on their own, as a 1-D array: divide by
+    the total, then the heaviest atom absorbs the remainder twice."""
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    heaviest = int(np.argmax(w))
+    for _ in range(2):
+        w[heaviest] += 1.0 - w.sum()
+    return w
+
+
+@st.composite
+def padded_laws(draw):
+    """Laws of 1 to 40 positive weights, zero-padded to one batch width."""
+    weight = st.floats(1e-3, 1e3)
+    laws = draw(st.lists(st.lists(weight, min_size=1, max_size=40),
+                         min_size=1, max_size=6))
+    width = max(map(len, laws)) + draw(st.integers(0, 20))
+    padded = np.zeros((len(laws), width))
+    for row, law in zip(padded, laws):
+        row[:len(law)] = law
+    return laws, padded
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(padded_laws())
+def test_batched_normalization_matches_each_law_alone(case):
+    laws, padded = case
+    batch = SnrDistribution(np.ones_like(padded), padded)
+    # a 3-D batch, from a Fortran-ordered array, has the same bits per law
+    twice = np.asfortranarray([padded, padded])
+    assert np.array_equal(SnrDistribution(np.ones_like(twice), twice).weights,
+                          [batch.weights, batch.weights])
+    for row, law, raw in zip(batch.weights, laws, padded):
+        want = normalized_alone(law)
+        assert np.array_equal(row[:len(law)], want)
+        assert not np.any(row[len(law):])
+        for alone in (law, raw):  # unpadded, and padded but on its own
+            got = SnrDistribution(np.ones(len(alone)), alone).weights
+            assert np.array_equal(got[:len(law)], want)
+
+
+def test_equal_weights_renormalize_to_the_same_bits():
+    # the trial prior broadcasts one normalized law and normalizes it again
+    for n in range(1, 1025):
+        law = SnrDistribution(np.ones(n), np.full(n, 1.0 / n))
+        again = SnrDistribution(law.values, law.weights)
+        assert np.array_equal(again.weights, law.weights)
 
 
 def test_bad_arguments():
@@ -271,9 +340,19 @@ def test_bad_arguments():
         SnrDistribution([1.0, 2.0], [0.5, -0.5])
     with pytest.raises(ValueError):
         SnrDistribution([1.0], [0.0])
+    for atom in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SnrDistribution([atom, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        SnrDistribution([1.0, 2.0], [0.5, np.nan])
+    # one bad law in a batch fails the whole batch
+    with pytest.raises(ValueError, match="positive finite sum"):
+        SnrDistribution([[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        SnrDistribution([1.0, 2.0], [[0.5, 0.5]])
 
 
 def test_from_samples_uniform():
     d = from_samples([0.5, 1.5, 2.5, 3.5])
-    assert d.mean == pytest.approx(2.0)
+    assert mean(d) == pytest.approx(2.0)
     assert np.dot(d.weights, np.ones(4)) == 1.0

@@ -147,7 +147,9 @@ def test_capacity_log_concave_in_power():
                        rtol=1e-12)
     # the batched per-instance maps behind the solvers take the same branch
     inst = ProblemInstance(mcs=McsTable.capacity(1), utility=u,
-                           dists=[[deep]] * 4, p_con=1.0)
+                           dists=SnrDistribution(np.tile(deep.values, (4, 1, 1)),
+                                                 np.tile(deep.weights, (4, 1, 1))),
+                           p_con=1.0)
     at = p_deep.reshape(4, 1, 1)
     assert np.allclose(inst.expected_utilities_at(at).ravel(), vals, rtol=1e-12)
     assert np.allclose(inst.marginal_values_at(at).ravel(), mv, rtol=1e-12)
@@ -177,7 +179,7 @@ def test_capacity_log_domain():
     with pytest.raises(ValueError):
         ProblemInstance(
             mcs=McsTable.qam(1, 2), utility=UtilitySpec.capacity_log(1.0, 1),
-            dists=[[SnrDistribution.point_mass(1.0)]], p_con=1.0)
+            dists=SnrDistribution.point_mass([[1.0]]), p_con=1.0)
 
 
 def test_mcs_table_defaults():
