@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (AllocationState, ProblemInstance, _packed_rows, _run_kernel,
-                   evaluate_mu, mu_bounds)
+from .dual import AllocationState, ProblemInstance, _rows, evaluate_mu, mu_bounds
+from .kernels import get_kernels
 from .snr import STREAM_SCHEDULER
 from .utility import UTILITY_CODES
 
@@ -38,8 +38,8 @@ def fp_rus_baseline(inst: ProblemInstance,
 
     subs = np.arange(n_sub)
     rows = ((subs * n_usr + users)[:, None] * n_mcs + np.arange(n_mcs)).ravel()
-    good = _run_kernel("expected_utilities", _packed_rows(inst, rows),
-                       np.full(rows.size, p), ucode=UTILITY_CODES["goodput"])
+    good = get_kernels().expected_utilities(
+        *_rows(inst, rows, UTILITY_CODES["goodput"]), np.full(rows.size, p))
     good = good.reshape(n_sub, n_mcs)
     best_m = good.argmax(axis=1)
     indicator = np.zeros(inst.shape)

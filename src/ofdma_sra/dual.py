@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _marginal_slope, get_kernels
+from .kernels import get_kernels
 from .snr import SnrDistribution
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
@@ -74,64 +74,40 @@ class ProblemInstance:
 
     # -- flat (combination, atom) packing for the kernels ------------------
 
-    def flat(self) -> dict:
-        """Arrays over combinations c = (n*K + k)*M + m, cached."""
+    def flat(self) -> tuple:
+        """The kernels' arguments ``(gamma, w, a, b, r, ucode, uparam)`` over
+        combinations c = (n*K + k)*M + m, cached; ``_rows`` selects rows."""
         if self._flat is None:
             atoms = (self.dists.n_atoms,)
 
             def per_combination(arr, tail=()):
                 return np.broadcast_to(arr, self.shape + tail).reshape(-1, *tail)
 
-            self._flat = {
-                "gamma": per_combination(self.dists.values[:, :, None], atoms),
-                "w": per_combination(self.dists.weights[:, :, None], atoms),
-                "a": per_combination(self.mcs.a),
-                "b": per_combination(self.mcs.b),
-                "r": per_combination(self.mcs.r),
-                "uparam": per_combination(self.utility.param[:, None]),
-                "ucode": self.utility.code,
-            }
+            self._flat = (per_combination(self.dists.values[:, :, None], atoms),
+                          per_combination(self.dists.weights[:, :, None], atoms),
+                          per_combination(self.mcs.a), per_combination(self.mcs.b),
+                          per_combination(self.mcs.r), self.utility.code,
+                          per_combination(self.utility.param[:, None]))
         return self._flat
 
-    def _batch(self, fn_name: str, *args) -> np.ndarray:
-        return _run_kernel(fn_name, self.flat(), *args).reshape(self.shape)
 
-    def marginal_values_at(self, p: np.ndarray) -> np.ndarray:
-        """Marginal of expected utility at per-combination powers p (N,K,M)."""
-        return self._batch("marginal_values", np.asarray(p, dtype=float).ravel())
-
-    def expected_utilities_at(self, p: np.ndarray) -> np.ndarray:
-        return self._batch("expected_utilities", np.asarray(p, dtype=float).ravel())
-
-    def power_roots_at(self, mu: float) -> np.ndarray:
-        return self._batch("power_roots", float(mu), *_thresholds(self))
-
-
-def _run_kernel(fn_name: str, packed: dict, *args, ucode: int | None = None
-                ) -> np.ndarray:
-    """One kernel over packed rows, under their utility or the given code."""
-    fn = getattr(get_kernels(), fn_name)
-    return fn(packed["gamma"], packed["w"], packed["a"], packed["b"],
-              packed["r"], packed["ucode"] if ucode is None else ucode,
-              packed["uparam"], *args)
+def _rows(inst: ProblemInstance, rows=slice(None), ucode: int | None = None
+          ) -> tuple:
+    """The kernels' arguments at flat combination indices rows (views for a
+    slice, so all rows copy nothing), under the instance's utility or ucode."""
+    gamma, w, a, b, r, code, uparam = inst.flat()
+    return (gamma[rows], w[rows], a[rows], b[rows], r[rows],
+            code if ucode is None else ucode, uparam[rows])
 
 
 def _thresholds(inst: ProblemInstance, rows=slice(None)):
     """Marginal (the activation threshold) and slope at zero power at flat
     indices rows; computed for every combination once, on first need."""
     if inst._thresholds is None:
-        f = inst.flat()
-        inst._thresholds = _marginal_slope(
-            f["gamma"], f["w"], f["a"], f["b"], f["r"], f["ucode"],
-            f["uparam"], np.zeros(f["a"].size))
+        inst._thresholds = get_kernels().marginal_values(
+            *_rows(inst), np.zeros(inst.shape).ravel())
     mv0, dmv0 = inst._thresholds
     return mv0[rows], dmv0[rows]
-
-
-def _packed_rows(inst: ProblemInstance, rows: np.ndarray) -> dict:
-    """The packed kernel arrays of ``inst`` at flat combination indices rows."""
-    return {key: val[rows] if isinstance(val, np.ndarray) else val
-            for key, val in inst.flat().items()}
 
 
 @dataclass
@@ -164,7 +140,6 @@ class AllocationState:
 class MuEvaluation:
     """Everything the solvers need at one multiplier value."""
 
-    mu: float
     p_star: np.ndarray     # (N,K,M)
     exp_util: np.ndarray   # (N,K,M) expected utility at p_star
     v: np.ndarray          # (N,K,M) = mu*p_star - exp_util
@@ -195,8 +170,10 @@ def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
     """
     if not np.isfinite(mu):
         raise ValueError("multiplier must be finite")
-    p_star = inst.power_roots_at(mu)
-    exp_util = inst.expected_utilities_at(p_star)
+    rows = _rows(inst)
+    p_flat = get_kernels().power_roots(*rows, float(mu), *_thresholds(inst))
+    p_star = p_flat.reshape(inst.shape)
+    exp_util = get_kernels().expected_utilities(*rows, p_flat).reshape(inst.shape)
     v = mu * p_star - exp_util
 
     n_sub = inst.n_subchannels
@@ -210,8 +187,7 @@ def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
     x[n, win[n]] = p2[n, win[n]]
     alloc = AllocationState(indicator.reshape(inst.shape), x.reshape(inst.shape),
                             discrete=True)
-    return MuEvaluation(mu=float(mu), p_star=p_star, exp_util=exp_util, v=v,
-                        alloc_min=alloc)
+    return MuEvaluation(p_star=p_star, exp_util=exp_util, v=v, alloc_min=alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +251,8 @@ def mu_bounds(inst: ProblemInstance) -> tuple[float, float]:
     Above mu_max no combination accepts power.  Computed once per instance.
     """
     if inst._mu_bounds is None:
-        mv_full = inst.marginal_values_at(np.full(inst.shape, inst.p_con))
+        mv_full = get_kernels().marginal_values(
+            *_rows(inst), np.full(inst.shape, inst.p_con).ravel())[0]
         inst._mu_bounds = (float(mv_full.min()), float(_thresholds(inst)[0].max()))
     return inst._mu_bounds
 
@@ -284,8 +261,8 @@ def _allocation_sum(inst: ProblemInstance, alloc: AllocationState,
                     ucode: int | None = None) -> float:
     """sum I * E{U(g(x/I, gamma))} over the allocated combinations only."""
     rows = np.flatnonzero(alloc.indicator > 0.0)
-    eu = _run_kernel("expected_utilities", _packed_rows(inst, rows),
-                     alloc.powers().ravel()[rows], ucode=ucode)
+    eu = get_kernels().expected_utilities(*_rows(inst, rows, ucode),
+                                          alloc.powers().ravel()[rows])
     return float(np.sum(alloc.indicator.ravel()[rows] * eu))
 
 

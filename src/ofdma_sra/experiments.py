@@ -146,6 +146,8 @@ class ScenarioConfig:
                             ("subgradient.updates", self.subgradient_updates)):
             if count < 1:
                 raise ConfigError(f"{path}: must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
         for path, value in (("kappa", self.kappa),
                             ("subgradient.scale", self.subgradient_scale)):
             if value is not None and not value > 0.0:

@@ -2,14 +2,21 @@
 
 Every quantity the dual machinery needs reduces to three batched maps over
 "combinations" (rows pairing one SNR atom set with one MCS entry and one
-per-user utility parameter):
+per-user utility parameter).  ``get_kernels()`` returns them as one
+namespace:
 
-* ``marginal_values``    -- a*b*r * E{ U'(g(p, gamma)) * gamma * exp(-b*p*gamma) },
-  the derivative of expected utility w.r.t. power,
+* ``marginal_values``    -- (2, rows): the marginal
+  a*b*r * E{ U'(g(p, gamma)) * gamma * exp(-b*p*gamma) }, the derivative of
+  expected utility w.r.t. power, and its slope (derivative in p),
 * ``expected_utilities`` -- E{ U(g(p, gamma)) },
 * ``power_roots``        -- per-row power where the marginal equals a given
   multiplier ``mu`` (0 when ``mu`` is at/above the activation threshold,
   i.e. the marginal at p=0).
+
+Each map takes the positional arguments ``(gamma, w, a, b, r, ucode,
+uparam)`` that ``dual.ProblemInstance.flat()`` packs and ``dual._rows``
+selects, followed by its own: the powers ``p``, or ``mu`` and the marginal
+and slope at p=0 for ``power_roots``.
 
 Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 0 identity, 1 weighted, 2 exponential pricing ``1-exp(-theta*g)``,
@@ -17,11 +24,11 @@ Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 evaluated in log space when r == 1 so that deep-saturation powers
 (``exp(-b*p*gamma)`` underflowing to 0) stay finite.
 
-Each map is vectorized numpy.  The marginal comes from the fused (marginal,
-slope) map, and both maps and the expectation are evaluated ``_BLOCK_ROWS``
-rows at a time into one preallocated output, which caps their (rows, atoms)
-temporaries at full scale; each row's sum is the same as in one full-size
-pass, so the results are bit-identical to it.
+Each map is vectorized numpy.  ``marginal_values`` and
+``expected_utilities`` are evaluated ``_BLOCK_ROWS`` rows at a time into one
+preallocated output, which caps their (rows, atoms) temporaries at full
+scale; each row's sum is the same as in one full-size pass, so the results
+are bit-identical to it.
 
 ``power_roots`` takes Newton steps on ``log(marginal(p) / mu)`` from p=0.
 That log is convex in p for codes 0-2 and for code 3 at r == 1, so the steps
@@ -74,43 +81,31 @@ def _u_value(ucode, theta, a, r, s):
 
 
 def _u_der_t(ucode, theta, a, r, s):
-    """U'(g) * exp(-s); the product is what the marginal integrand needs."""
+    """U'(g) * exp(-s), the product the marginal integrand needs, and its
+    derivative in s."""
     t = np.exp(-s)
-    if ucode == 0:
-        return t
-    if ucode == 1:
-        return theta * t
+    if ucode <= 1:
+        der_t = t if ucode == 0 else theta * t
+        return der_t, -der_t
     if ucode == 2:
         g = (1.0 - a * t) * r
-        return theta * np.exp(-theta * g) * t
-    one_m_g = (1.0 - r) + r * a * t
-    safe = np.where(one_m_g > 0.0, one_m_g, 1.0)
-    plain = theta * t / (safe * (1.0 - np.log(safe)))
-    exact = theta / (a * (1.0 - np.log(a) + s))
-    return np.where(r == 1.0, exact, plain)
-
-
-def _u_slope(ucode, theta, a, r, s, der_t):
-    """d/ds of U'(g) * exp(-s), given that product as der_t."""
-    if ucode <= 1:
-        return -der_t
-    t = np.exp(-s)
-    if ucode == 2:
-        return -der_t * (1.0 + theta * a * r * t)
+        der_t = theta * np.exp(-theta * g) * t
+        return der_t, -der_t * (1.0 + theta * a * r * t)
     one_m_g = (1.0 - r) + r * a * t
     safe = np.where(one_m_g > 0.0, one_m_g, 1.0)
     log_q = np.log(safe)
+    log_den = 1.0 - np.log(a) + s  # 1 - log(1 - g) in log space, at r == 1
+    der_t = np.where(r == 1.0, theta / (a * log_den),
+                     theta * t / (safe * (1.0 - log_q)))
     plain = der_t * (r * a * t * -log_q / (safe * (1.0 - log_q)) - 1.0)
-    exact = -der_t / (1.0 - np.log(a) + s)
-    return np.where(r == 1.0, exact, plain)
+    return der_t, np.where(r == 1.0, -der_t / log_den, plain)
 
 
 def _marginal_slope_rows(gamma, w, a, b, r, ucode, uparam, p):
     """(2, rows): the marginal and its derivative in p."""
     s = b[:, None] * p[:, None] * gamma
     theta, a2, r2 = uparam[:, None], a[:, None], r[:, None]
-    der_t = _u_der_t(ucode, theta, a2, r2, s)
-    slope = _u_slope(ucode, theta, a2, r2, s, der_t)
+    der_t, slope = _u_der_t(ucode, theta, a2, r2, s)
     # (rows, atoms) temporaries go as soon as they are used: at full scale
     # this map's peak sets the process's peak memory
     del s
@@ -145,10 +140,6 @@ def _in_blocks(rows_fn, gamma, w, a, b, r, ucode, uparam, p):
 
 def _marginal_slope(gamma, w, a, b, r, ucode, uparam, p):
     return _in_blocks(_marginal_slope_rows, gamma, w, a, b, r, ucode, uparam, p)
-
-
-def _marginal(gamma, w, a, b, r, ucode, uparam, p):
-    return _marginal_slope(gamma, w, a, b, r, ucode, uparam, p)[0]
 
 
 def _expected(gamma, w, a, b, r, ucode, uparam, p):
@@ -203,7 +194,7 @@ def _power_roots(gamma, w, a, b, r, ucode, uparam, mu, mv0, dmv0):
 
 
 _KERNELS = SimpleNamespace(
-    marginal_values=_marginal,
+    marginal_values=_marginal_slope,
     expected_utilities=_expected,
     power_roots=_power_roots,
 )

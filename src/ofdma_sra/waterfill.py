@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (AllocationState, ProblemInstance, _bisect_budget,
-                   _packed_rows, _run_kernel, _thresholds, mu_bounds)
+from .dual import (AllocationState, ProblemInstance, _bisect_budget, _rows,
+                   _thresholds, mu_bounds)
+from .kernels import get_kernels
 
 
 @dataclass
@@ -50,19 +51,19 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
 
     mu_min, mu_max = mu_bounds(inst)
     active = np.flatnonzero(indicator)
-    packed = _packed_rows(inst, active)
+    packed = _rows(inst, active)
     zero = _thresholds(inst, active)
 
     def roots(mu):
-        return _run_kernel("power_roots", packed, mu, *zero)
+        return get_kernels().power_roots(*packed, mu, *zero)
 
     br = _bisect_budget(roots, np.sum, inst.p_con, mu_min, mu_max, kappa)
     p_lo, p_hi = br.at_lo, br.at_hi
     p_blend = br.lam * p_hi + (1.0 - br.lam) * p_lo
 
-    lagrangian = float(-_run_kernel("expected_utilities", packed, p_hi).sum()
+    lagrangian = float(-get_kernels().expected_utilities(*packed, p_hi).sum()
                        + (p_hi.sum() - inst.p_con) * br.hi)
-    utility = float(_run_kernel("expected_utilities", packed, p_blend).sum())
+    utility = float(get_kernels().expected_utilities(*packed, p_blend).sum())
 
     x = np.zeros(inst.shape)
     x.ravel()[active] = p_blend

@@ -14,7 +14,8 @@ import numpy as np
 from ofdma_sra import (AllocationState, DsraResult, allocation_utility,
                        default_kappa, evaluate_mu, mu_bounds,
                        solve_fixed_allocation)
-from ofdma_sra.dual import _bisect_budget, _packed_rows, _run_kernel
+from ofdma_sra.dual import _bisect_budget, _rows
+from ofdma_sra.kernels import get_kernels
 from ofdma_sra.waterfill import refinement_kappa
 
 BRUTE_FORCE_CAP = 20000
@@ -40,7 +41,7 @@ def check_allocation(alloc, atol=1e-9):
 def row_values(inst, kernel, row, p):
     """One kernel at flat combination ``row`` of inst, at every power in p."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return _run_kernel(kernel, _packed_rows(inst, np.full(p.size, row)), p)
+    return getattr(get_kernels(), kernel)(*_rows(inst, np.full(p.size, row)), p)
 
 
 def indicators(inst, max_hypotheses=BRUTE_FORCE_CAP):

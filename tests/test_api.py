@@ -59,3 +59,27 @@ def test_every_public_method_is_used_by_the_package():
     unused = sorted(m for m in public_methods()
                     if m.rsplit(".", 1)[1] not in attrs)
     assert not unused, f"public methods no package module uses: {unused}"
+
+
+def test_no_module_but_kernels_reaches_a_private_kernel_name():
+    """Every atom pass goes through the ``get_kernels()`` namespace.
+
+    A module other than ``kernels.py`` may neither import a ``_name`` from
+    ``kernels`` nor load one as ``kernels._name``.
+    """
+    private = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("kernels", "ofdma_sra.kernels")):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "kernels"):
+                names = [node.attr]
+            else:
+                continue
+            private += [f"{path.name}: {n}" for n in names if n.startswith("_")]
+    assert not private, f"private kernel names outside kernels.py: {private}"

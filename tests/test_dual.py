@@ -6,6 +6,7 @@ import pytest
 from ofdma_sra import (AllocationState, ProblemInstance, SnrDistribution,
                        UtilitySpec, allocation_utility, evaluate_mu, mu_bounds)
 from ofdma_sra.dual import _tie_mask
+from ofdma_sra.kernels import get_kernels
 from conftest import (closed_form_power, closed_form_v, combo_instance,
                       mcs_entry, point_mass_instance, single_combo_instance)
 from reference import (check_allocation, exhaustive_lagrangian_min,
@@ -121,17 +122,24 @@ def test_mu_bounds_symmetry(rng):
 
 
 def test_mu_bounds_computed_once_per_instance(monkeypatch):
-    inst = point_mass_instance(np.array([[0.5, 2.0], [1.5, 0.2]]), p_con=3.0)
-    first = mu_bounds(inst)
+    def make():
+        return point_mass_instance(np.array([[0.5, 2.0], [1.5, 0.2]]), p_con=3.0)
+
     calls = []
-    marginal = inst.marginal_values_at
-    monkeypatch.setattr(inst, "marginal_values_at",
-                        lambda p: calls.append(p) or marginal(p))
+    namespace = get_kernels()
+    marginal = namespace.marginal_values
+    monkeypatch.setattr(namespace, "marginal_values",
+                        lambda *args: calls.append(args[-1]) or marginal(*args))
+    inst = make()
+    first = mu_bounds(inst)
+    # one pass at zero power (the thresholds) and one at the whole budget
+    assert sorted(p.max() for p in calls) == [0.0, 3.0]
+    calls.clear()
     assert mu_bounds(inst) == first
     assert not calls
     # a fresh instance over the same data computes the same pair
-    fresh = point_mass_instance(np.array([[0.5, 2.0], [1.5, 0.2]]), p_con=3.0)
-    assert mu_bounds(fresh) == first
+    assert mu_bounds(make()) == first
+    assert len(calls) == 2
 
 
 def test_allocation_matches_exhaustive_lagrangian(rng):
@@ -262,7 +270,7 @@ def test_allocation_utility_zero():
 def test_instance_takes_one_n_k_atoms_batch():
     inst = point_mass_instance([[1.0, 2.0], [0.5, 1.5], [1.2, 0.3]], p_con=3.0)
     assert inst.shape == (3, 2, 2)
-    assert inst.flat()["gamma"].shape == (12, 1)
+    assert inst.flat()[0].shape == (12, 1)
     good = dict(mcs=inst.mcs, utility=inst.utility, p_con=3.0)
     for dists in (SnrDistribution.point_mass([1.0, 2.0]),         # (K, A)
                   SnrDistribution.point_mass(np.ones((3, 2, 2))),  # 4-D

@@ -108,6 +108,7 @@ BAD_CONFIGS = [
     ({"sweep": {"variable": "n_users", "values": [2, True]}},
      r"^sweep\.values: must be a number, got True"),
     ({"seed": 1.5}, r"^seed: must be an integer"),
+    ({"seed": -1}, r"^seed: must be nonnegative"),
     ({"n_atoms": True}, r"^n_atoms: must be an integer"),
     ({"channel": {"n_subchannels": 8.5}},
      r"^channel\.n_subchannels: must be an integer"),
@@ -401,6 +402,16 @@ def test_cli_schemes_override_is_checked(tmp_path, capsys):
                          "--schemes", schemes]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_seed_override_is_checked(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "channel": {"n_subchannels": 4, "n_users": 2},
+        "sweep": {"values": [-10.0]}, "n_trials": 1, "n_atoms": 4})
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be nonnegative\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_file_exit_3(tmp_path):

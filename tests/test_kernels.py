@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdma_sra import kernels
-from ofdma_sra.dual import _packed_rows
+from ofdma_sra.dual import _rows
 from ofdma_sra.kernels import (_BLOCK_ROWS, ROOT_MAX_ITER, ROOT_REL_TOL,
                                _u_der_t, _u_value)
 
@@ -34,7 +34,7 @@ from conftest import atom_instance
 
 def ref_marginal(gamma, w, a, b, r, ucode, uparam, p):
     s = b[:, None] * p[:, None] * gamma
-    der_t = _u_der_t(ucode, uparam[:, None], a[:, None], r[:, None], s)
+    der_t = _u_der_t(ucode, uparam[:, None], a[:, None], r[:, None], s)[0]
     return a * b * r * np.sum(w * gamma * der_t, axis=1)
 
 
@@ -199,9 +199,7 @@ def test_roots_across_blocks_and_gathers(rng, monkeypatch):
 def test_roots_on_packed_row_subset():
     inst = atom_instance(5, n_sub=6, n_usr=4, n_mcs=3, n_atoms=8)
     rows = np.flatnonzero(np.random.default_rng(3).random(inst.shape).ravel() < 0.4)
-    pk = _packed_rows(inst, rows)
-    args = (pk["gamma"], pk["w"], pk["a"], pk["b"], pk["r"], pk["ucode"],
-            pk["uparam"])
+    args = _rows(inst, rows)
     mv0 = thresholds(args)
     for q in (0.25, 0.75):
         assert_root_contract(args, float(np.quantile(mv0, q)))
@@ -212,7 +210,8 @@ def test_blocked_maps_match_full_rows(rng, ucode):
     n = 2 * _BLOCK_ROWS + 17
     rows = packed(rng, n, ucode)
     for p in (np.zeros(n), 10.0 ** rng.uniform(-3.0, 3.0, n)):
-        assert np.array_equal(kernels._marginal(*rows, p), ref_marginal(*rows, p))
+        assert np.array_equal(kernels._marginal_slope(*rows, p)[0],
+                              ref_marginal(*rows, p))
         assert np.array_equal(kernels._expected(*rows, p), ref_expected(*rows, p))
 
 
@@ -236,8 +235,8 @@ def test_slope_matches_central_difference(rng, ucode, rate):
     rows = (gamma, w, a, b, r, ucode, uparam)
     p = 10.0 ** rng.uniform(-2.0, 1.0, r.size)
     h = 1e-5 * p
-    diff = (kernels._marginal(*rows, p + h)
-            - kernels._marginal(*rows, p - h)) / (2.0 * h)
+    diff = (kernels._marginal_slope(*rows, p + h)[0]
+            - kernels._marginal_slope(*rows, p - h)[0]) / (2.0 * h)
     slope = kernels._marginal_slope(*rows, p)[1]
     assert np.all(slope < 0.0)
     assert np.allclose(slope, diff, rtol=1e-5, atol=0.0)
@@ -257,7 +256,6 @@ def test_roots_fail_loudly_when_the_root_is_infinite():
 
 def test_maps_on_no_rows():
     rows = packed(np.random.default_rng(0), 0, 0)
-    assert kernels._marginal(*rows, np.zeros(0)).shape == (0,)
     assert kernels._expected(*rows, np.zeros(0)).shape == (0,)
     assert kernels._marginal_slope(*rows, np.zeros(0)).shape == (2, 0)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ofdma_sra import McsTable, ProblemInstance, SnrDistribution, UtilitySpec
-from ofdma_sra.kernels import _u_value
+from ofdma_sra.dual import _rows
+from ofdma_sra.kernels import _u_value, get_kernels
 from conftest import combo_instance, mcs_entry, point_mass_instance
 from reference import row_values
 
@@ -23,7 +24,7 @@ def expected_utility(dist, p, mcs=MCS, util=None):
 
 
 def marginal_value(dist, p, mcs=MCS, util=None):
-    return row_values(combo_instance(dist, mcs, util), "marginal_values", 0, p)
+    return row_values(combo_instance(dist, mcs, util), "marginal_values", 0, p)[0]
 
 
 def utility_of_goodput(util, g, k=0):
@@ -47,7 +48,7 @@ def test_goodput_monotone():
     gammas = np.linspace(0, 5, 50)
     inst = point_mass_instance(gammas[:, None], p_con=1.0,
                                mcs=McsTable(a=[[1.0]], b=[[0.5]], r=[[2.0]]))
-    g2 = inst.expected_utilities_at(np.full(inst.shape, 2.0)).ravel()
+    g2 = get_kernels().expected_utilities(*_rows(inst), np.full(gammas.size, 2.0))
     assert np.all(np.diff(g2) >= 0)
 
 
@@ -150,9 +151,11 @@ def test_capacity_log_concave_in_power():
                            dists=SnrDistribution(np.tile(deep.values, (4, 1, 1)),
                                                  np.tile(deep.weights, (4, 1, 1))),
                            p_con=1.0)
-    at = p_deep.reshape(4, 1, 1)
-    assert np.allclose(inst.expected_utilities_at(at).ravel(), vals, rtol=1e-12)
-    assert np.allclose(inst.marginal_values_at(at).ravel(), mv, rtol=1e-12)
+    rows = _rows(inst)
+    assert np.allclose(get_kernels().expected_utilities(*rows, p_deep), vals,
+                       rtol=1e-12)
+    assert np.allclose(get_kernels().marginal_values(*rows, p_deep)[0], mv,
+                       rtol=1e-12)
 
 
 def test_marginal_strictly_decreasing_in_power():
