@@ -1,7 +1,7 @@
 """The power-root kernel and the row-blocked maps against full-row references.
 
-``marginal_values``, ``expected_utilities`` and the fused (marginal, slope)
-map evaluate a bounded number of rows at a time; that may not change a
+``marginal_values`` (the fused marginal and slope) and ``expected_utilities``
+evaluate a bounded number of rows at a time; that may not change a
 single bit, so those checks are ``np.array_equal`` against the full-row
 formulas kept below.  ``power_roots`` takes safeguarded Newton steps on the
 unfinished rows only; two valid roots of a flat marginal may differ in many
