@@ -214,7 +214,8 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
     ``evaluate(mu)`` is the work done at one price and ``total(result)`` the
     power it spends.  One comparison decides binding: a midpoint with
     ``total >= budget`` becomes the lower end, any other the upper end.  Stops
-    once the bracket is at most kappa wide.  Ends are evaluated lazily: only
+    once the bracket is at most kappa wide, or once its ends are adjacent
+    floats (a kappa below their spacing).  Ends are evaluated lazily: only
     an end that never moved is evaluated, once, after the loop.  ``lam`` is
     the weight on the upper end at which the blend of the two ends spends
     ``budget``, clipped to [0, 1].
@@ -223,6 +224,8 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
     mids = []
     while hi - lo > kappa:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         mids.append(mid)
         at_mid = evaluate(mid)
         if total(at_mid) >= budget:

@@ -479,18 +479,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1) -> dict:
 
 def summarize(records: list[TrialRecord]) -> list[dict]:
     """Per (sweep value, scheme) means and standard errors."""
-    keys = []
     groups: dict[tuple, list[TrialRecord]] = {}
     for r in records:
-        key = (r.sweep_var, r.sweep_value, r.scheme)
-        if key not in groups:
-            groups[key] = []
-            keys.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.sweep_var, r.sweep_value, r.scheme), []).append(r)
 
     rows = []
-    for key in keys:
-        grp = groups[key]
+    for key, grp in groups.items():
         good = np.array([r.goodput_per_subchannel for r in grp], dtype=float)
         utils = np.array([r.utility for r in grp], dtype=float)
         gaps = np.array([np.nan if r.gap_bound_per_subchannel is None

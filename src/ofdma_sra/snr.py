@@ -14,6 +14,7 @@ Z ~ CN(hhat, sigma_e^2), a (scaled) non-central chi-squared with two
 degrees of freedom.  All of those conditional laws are reduced to weighted
 atoms, one ``SnrDistribution`` batch for a whole (N, K) grid, which makes
 every expectation downstream a finite sum and the whole solve deterministic.
+The atoms call ``scipy.special`` directly, not ``scipy.stats.ncx2``.
 
 Seeding: every randomized operation takes one integer ``seed`` and derives
 an internal stream with ``np.random.SeedSequence(seed, spawn_key=(k,))``,
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ncx2
+from scipy.special import chdtr, chndtr, chndtrix, gammaincinv
 
 STREAM_CHANNEL = 0
 STREAM_PILOT = 1
@@ -221,9 +222,12 @@ def conditional_snr_dist(hhat, est_error_var: float,
     is an exact CDF difference rather than a quadrature.  The atom mean is
     |hhat|^2 + sigma_e^2 by construction.
 
-    All laws come from one ``ncx2.ppf`` and three ``ncx2.cdf`` calls on a
-    (laws, n_atoms + 1) grid.  A spike law is atom 0 with weight 1 and zero
-    padding; a batch of point masses only has one atom per law.
+    All laws come from one quantile call (``chndtrix``) and three CDF calls
+    (``chndtr``) on a (laws, n_atoms + 1) grid; a central law (nc = 0) takes
+    the chi-squared ``gammaincinv`` and ``chdtr`` instead.  That is the split
+    ``scipy.stats.ncx2`` makes, and the atoms have its bits.  A spike law is
+    atom 0 with weight 1 and zero padding; a batch of point masses only has
+    one atom per law.
     """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
@@ -245,12 +249,16 @@ def conditional_snr_dist(hhat, est_error_var: float,
 
     laws = ~spike
     nc = nc[laws, None]
+    central = nc == 0.0  # prior or no pilot; chndtr(x, df, 0) is off by ulps
     probs = np.linspace(0.0, 1.0, n_atoms + 1)
-    edges = ncx2.ppf(probs, 2, nc)
-    edges[:, 0], edges[:, -1] = 0.0, np.inf
-    mass = np.diff(ncx2.cdf(edges, 2, nc), axis=1)
-    numer = (2.0 * np.diff(ncx2.cdf(edges, 4, nc), axis=1)
-             + nc * np.diff(ncx2.cdf(edges, 6, nc), axis=1))
+    with np.errstate(over="ignore"):
+        edges = np.where(central, 2.0 * gammaincinv(1.0, probs),
+                         chndtrix(probs, 2.0, nc))
+        edges[:, 0], edges[:, -1] = 0.0, np.inf
+        mass, mass4, mass6 = (
+            np.diff(np.where(central, chdtr(df, edges), chndtr(edges, df, nc)),
+                    axis=1) for df in (2.0, 4.0, 6.0))
+    numer = 2.0 * mass4 + nc * mass6
     good = mass > 0.0
     # degenerate bins (ppf saturation in extreme tails): mean-preserving fallback
     means = np.where(good, numer / np.where(good, mass, 1.0), 2.0 + nc)

@@ -4,18 +4,22 @@ None of this is part of the package: enumerating every discrete indicator,
 or every point of a power grid, is exponential and only the tests need it.
 Expected utilities come from the package's own kernels (``row_values``), so
 a reference differs from the solver it checks only in how it searches.
+The SNR atoms' reference builds them through ``scipy.stats.ncx2``, which
+the package does not import.
 """
 
 import itertools
 from functools import partial
 
 import numpy as np
+from scipy.stats import ncx2
 
 from ofdma_sra import (AllocationState, DsraResult, allocation_utility,
                        default_kappa, evaluate_mu, mu_bounds,
                        solve_fixed_allocation)
 from ofdma_sra.dual import _bisect_budget, _rows
 from ofdma_sra.kernels import get_kernels
+from ofdma_sra.snr import NC_COLLAPSE_THRESHOLD, SnrDistribution
 from ofdma_sra.waterfill import refinement_kappa
 
 BRUTE_FORCE_CAP = 20000
@@ -182,12 +186,44 @@ def indicator_cost(inst, share, actual_power, row=0):
 
 
 def bisection_mids(inst):
-    """Every midpoint of the CSRA budget bisection run to a 2^-40 bracket.
-
-    A bracket of 0 would never close: at a 1-ulp bracket the midpoint
-    rounds to an end.
-    """
+    """Every midpoint of the CSRA budget bisection run to a 2^-40 bracket."""
     mu_min, mu_max = mu_bounds(inst)
     return _bisect_budget(partial(evaluate_mu, inst),
                           lambda ev: ev.total_power_min, inst.p_con,
                           mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -40).mids
+
+
+def ncx2_snr_dist(hhat, est_error_var, n_atoms):
+    """``conditional_snr_dist`` built through ``scipy.stats.ncx2``.
+
+    One ``ncx2.ppf`` and three ``ncx2.cdf`` calls on a (laws, n_atoms + 1)
+    grid, with the package's point masses, spikes and degenerate-bin
+    fallback.  The package calls the special functions behind ``ncx2``
+    directly and must give these bits.
+    """
+    shape = np.shape(hhat)
+    center = np.float_power(np.abs(np.ravel(hhat)), 2.0)
+    if est_error_var == 0.0:
+        return SnrDistribution.point_mass(center.reshape(shape))
+    nc = 2.0 * center / est_error_var
+    spike = nc > NC_COLLAPSE_THRESHOLD
+    if n_atoms == 1 or np.all(spike):
+        return SnrDistribution.point_mass((center + est_error_var).reshape(shape))
+    laws = ~spike
+    nc = nc[laws, None]
+    probs = np.linspace(0.0, 1.0, n_atoms + 1)
+    edges = ncx2.ppf(probs, 2, nc)
+    edges[:, 0], edges[:, -1] = 0.0, np.inf
+    mass = np.diff(ncx2.cdf(edges, 2, nc), axis=1)
+    numer = (2.0 * np.diff(ncx2.cdf(edges, 4, nc), axis=1)
+             + nc * np.diff(ncx2.cdf(edges, 6, nc), axis=1))
+    good = mass > 0.0
+    means = np.where(good, numer / np.where(good, mass, 1.0), 2.0 + nc)
+    values = np.zeros((center.size, n_atoms))
+    weights = np.zeros((center.size, n_atoms))
+    values[spike, 0] = center[spike] + est_error_var
+    weights[spike, 0] = 1.0
+    values[laws] = 0.5 * est_error_var * np.maximum(means, 0.0)
+    weights[laws] = 1.0 / n_atoms
+    return SnrDistribution(values.reshape(shape + (n_atoms,)),
+                           weights.reshape(shape + (n_atoms,)))

@@ -18,6 +18,9 @@ a method that shares a name with a field another class reads would pass.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ofdma_sra
@@ -83,3 +86,43 @@ def test_no_module_but_kernels_reaches_a_private_kernel_name():
                 continue
             private += [f"{path.name}: {n}" for n in names if n.startswith("_")]
     assert not private, f"private kernel names outside kernels.py: {private}"
+
+
+def is_scipy_stats(name: str) -> bool:
+    return name == "scipy.stats" or name.startswith("scipy.stats.")
+
+
+def test_no_module_imports_scipy_stats():
+    """The atoms call the special functions behind ``scipy.stats.ncx2``
+    directly; importing ``scipy.stats`` costs every process about half a
+    second and 45 MB."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if is_scipy_stats(n)]
+    assert not found, f"scipy.stats imports in the package: {found}"
+
+
+def test_a_fresh_trial_loads_no_scipy_stats():
+    code = """if True:
+        import sys
+        from ofdma_sra import ChannelConfig, ScenarioConfig, run_trial
+        cfg = ScenarioConfig(channel=ChannelConfig(n_subchannels=4, n_users=2),
+                             n_mcs=2, sweep_values=(-10.0,), n_trials=1,
+                             n_atoms=4, subgradient_updates=2)
+        assert run_trial(cfg, 0, 0)
+        print(" ".join(sorted(sys.modules)))
+    """
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    loaded_stats = [m for m in proc.stdout.split() if is_scipy_stats(m)]
+    assert not loaded_stats, f"a trial loaded {loaded_stats}"

@@ -37,6 +37,25 @@ def test_bisection_evaluates_only_midpoints(monkeypatch):
     assert len(calls) == res.iterations
 
 
+def test_kappa_below_float_spacing_stops_at_adjacent_floats(monkeypatch):
+    # once the bracket is two adjacent floats its midpoint rounds onto an
+    # end; the bisection stops there instead of halving forever
+    inst = atom_instance(0)
+    calls = []
+    evaluate = csra.evaluate_mu
+
+    def capped(instance, mu):
+        calls.append(mu)
+        if len(calls) > 2000:
+            raise RuntimeError("the bisection does not stop")
+        return evaluate(instance, mu)
+
+    monkeypatch.setattr(csra, "evaluate_mu", capped)
+    res = solve_csra(inst, kappa=1e-17)
+    assert res.mu_hi == np.nextafter(res.mu_lo, np.inf)
+    assert len(calls) == res.iterations
+
+
 def test_kappa_halving_adds_one_iteration():
     inst = single_combo_instance(p_con=1.0)
     r1 = solve_csra(inst, kappa=1e-3)

@@ -1,5 +1,7 @@
 """Discrete solver: fixed-allocation water-filling, brute force, certificates."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ofdma_sra import (McsTable, ProblemInstance, SnrDistribution, UtilitySpec,
                        default_kappa, dsra_gap_bound, evaluate_mu, mu_bounds,
                        solve_csra, solve_dsra, solve_fixed_allocation)
+from ofdma_sra import waterfill
 from conftest import atom_instance, point_mass_instance, single_combo_instance
 from reference import brute_force_dsra
 
@@ -38,6 +41,27 @@ def test_fixed_allocation_budget_never_exceeded(rng):
                 ind[n, rng.integers(2), rng.integers(2)] = 1.0
         fs = solve_fixed_allocation(inst, ind, kappa=1e-6)
         assert fs.x.sum() <= inst.p_con * (1 + 1e-6)
+
+
+def test_fixed_allocation_kappa_below_float_spacing(monkeypatch):
+    # the water-filling bisection stops at adjacent floats too
+    inst = atom_instance(seed=5, n_sub=3, n_usr=2, n_mcs=2, p_con=12.0)
+    ind = np.zeros(inst.shape)
+    ind[:, 0, 1] = 1.0
+    kernels = waterfill.get_kernels()
+    calls = []
+
+    def capped(*args):
+        calls.append(args)
+        if len(calls) > 2000:
+            raise RuntimeError("the bisection does not stop")
+        return kernels.power_roots(*args)
+
+    monkeypatch.setattr(waterfill, "get_kernels", lambda: SimpleNamespace(
+        power_roots=capped, expected_utilities=kernels.expected_utilities))
+    fs = solve_fixed_allocation(inst, ind, kappa=1e-300)
+    assert fs.mu_hi == np.nextafter(fs.mu_lo, np.inf)
+    assert fs.x.sum() == pytest.approx(inst.p_con, rel=1e-9)
 
 
 def test_fixed_allocation_empty():

@@ -9,6 +9,7 @@ from ofdma_sra import (ChannelConfig, SnrDistribution, conditional_snr_dist,
                        draw_channel, mmse_estimate)
 from ofdma_sra import snr
 from ofdma_sra.snr import NC_COLLAPSE_THRESHOLD
+import reference
 
 
 def mean(d):
@@ -259,23 +260,78 @@ def test_batched_atoms_degenerate_bin_fallback(monkeypatch):
     s2 = 0.5
     hhat = np.array([0.4, 1.0, 1.5])
     target = 2.0 * 1.0 / s2
-    ppf = snr.ncx2.ppf
+    chndtrix = snr.chndtrix
 
-    class Ncx2:
-        cdf = staticmethod(snr.ncx2.cdf)
+    def repeated_edge(q, df, nc):
+        edges = chndtrix(q, df, nc)       # (laws, n_atoms + 1)
+        hit = (nc == target).ravel()
+        edges[hit, 1] = edges[hit, 2]
+        return edges
 
-        @staticmethod
-        def ppf(q, df, nc):
-            edges = ppf(q, df, nc)        # (laws, n_atoms + 1)
-            hit = (nc == target).ravel()
-            edges[hit, 1] = edges[hit, 2]
-            return edges
-
-    monkeypatch.setattr(snr, "ncx2", Ncx2)
+    monkeypatch.setattr(snr, "chndtrix", repeated_edge)
     batch = assert_batch_matches_single(hhat, s2, 8)
     assert batch.values[1, 1] == 0.5 * s2 * (2.0 + target)
     for values in batch.values[[0, 2]]:
         assert np.all(np.diff(values) > 0.0)
+
+
+def assert_matches_ncx2(hhat, s2, n_atoms):
+    """The atoms have the bits of the ``scipy.stats.ncx2`` construction."""
+    got = conditional_snr_dist(hhat, s2, n_atoms)
+    want = reference.ncx2_snr_dist(hhat, s2, n_atoms)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.weights, want.weights)
+    return got
+
+
+def test_atoms_match_ncx2_oracle():
+    s2 = 0.5
+    h_spike = np.sqrt(NC_COLLAPSE_THRESHOLD * s2)  # nc = 2 * threshold
+    h_edge = np.sqrt(0.999 * NC_COLLAPSE_THRESHOLD * s2 / 2.0)
+    # zero, tiny (nc down to subnormal), ordinary and spike laws
+    mixed = np.array([0.0, 1e-160, 1e-100j, 1e-9, 0.3 + 1.0j, 2.0 - 0.1j,
+                      30.0, h_spike, 0.0])
+    for n_atoms in range(1, 65):
+        assert_matches_ncx2(mixed, s2, n_atoms)
+    # nc just below the spike threshold costs ~0.3 s a call
+    for n_atoms in (2, 64):
+        assert_matches_ncx2(np.array([h_edge, 0.0]), s2, n_atoms)
+    # central laws alone: the channel prior and a run without pilots
+    for var in (1e-30, 0.25, 1.0, 5.0):
+        prior = assert_matches_ncx2(np.zeros((4, 3)), var, 64)
+        assert prior.values.shape == (4, 3, 64)
+    # pilot posteriors from far below to far above the noise
+    for pilot in (-300.0, -20.0, 0.0, 30.0, 60.0, 200.0):
+        c = cfg(n=8, k=3, pilot=pilot)
+        est = mmse_estimate(c, draw_channel(c, seed=2), seed=2)
+        assert_matches_ncx2(est.mean, est.est_error_var, 32)
+    assert_matches_ncx2(mixed, 0.0, 64)
+
+
+def test_degenerate_bins_match_ncx2_oracle(monkeypatch):
+    # the quantile at 1/8 is read at 2/8 for one law, on both sides: its
+    # second bin has no mass and falls back to the law's mean
+    s2 = 0.5
+    hhat = np.array([0.0, 0.4, 1.0, 1.5])
+    target = 2.0 * 1.0 / s2
+
+    def shifted(q, nc):
+        return np.where((nc == target) & (q == 0.125), 0.25, q)
+
+    chndtrix, ncx2 = snr.chndtrix, reference.ncx2
+
+    class Ncx2:
+        cdf = staticmethod(ncx2.cdf)
+
+        @staticmethod
+        def ppf(q, df, nc):
+            return ncx2.ppf(shifted(q, nc), df, nc)
+
+    monkeypatch.setattr(snr, "chndtrix",
+                        lambda q, df, nc: chndtrix(shifted(q, nc), df, nc))
+    monkeypatch.setattr(reference, "ncx2", Ncx2)
+    batch = assert_matches_ncx2(hhat, s2, 8)
+    assert batch.values[2, 1] == 0.5 * s2 * (2.0 + target)
 
 
 # -- weight normalization ------------------------------------------------------
