@@ -17,6 +17,9 @@ file holds:
 * ``wins``: per workload and end-to-end metric (directions from the
   PARENT's BENCHMARK.json), the pairs each side won and the change's median
   over the parent's;
+* ``traced``: per workload and side, the traced run's per-layer metrics,
+  span times next to the counts behind them (kernel rows, bytes computed,
+  bisection steps);
 * ``environment``: python, numpy and scipy versions, cores and the load
   average before and after;
 * ``sides``: each side's ``git rev-parse HEAD`` and whether its work tree
@@ -98,6 +101,16 @@ def summarize(runs: list[dict], better: dict) -> tuple[dict, dict]:
     return stats, wins
 
 
+def traced_split(runs: list[dict]) -> dict:
+    """Workload -> side -> metric -> value of the traced runs."""
+    traced = {}
+    for r in runs:
+        if r["trace"] == 1:
+            traced.setdefault(r["workload"], {})[r["side"]] = {
+                m: v["value"] for m, v in r["result"]["metrics"].items()}
+    return traced
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -143,7 +156,7 @@ def main(argv=None) -> int:
                       f"{args.seconds} --trace T",
            "sides": {s: git_state(d) for s, d in dirs.items()},
            "environment": environment, "stats": stats, "wins": wins,
-           "runs": runs}
+           "traced": traced_split(runs), "runs": runs}
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)

@@ -4,7 +4,14 @@ The total optimal power X*(mu) is nonincreasing, so bisection over
 [mu_min, mu_max] narrows a bracket containing the multiplier where the
 budget binds; a midpoint binds when its min-power total reaches P_con.
 Ends are evaluated lazily: only an end that never moved is evaluated, once,
-after the bisection.  The endpoint allocations (min-power tie rule) are
+after the bisection.  Once both ends have been evaluated, each midpoint
+scores only the combinations that can still win inside the bracket
+(``evaluate_mu`` screens with the two end evaluations): V_c(mu) is concave
+and nondecreasing, so a combination whose score at the lower end exceeds
+min(0, least score at the upper end) plus a few 1e-9 relative (the tie band,
+the root tolerance and rounding) can never tie inside it.  The screened
+allocations, mu_lo, mu_hi and the step count are bit for bit those of full
+evaluations; at full scale a midpoint scores ~60-600 of 15 360 rows.  The endpoint allocations (min-power tie rule) are
 combined with the weight lam that meets the budget exactly; when the two
 endpoint allocations coincide, or lam is 0 or 1, the combination is itself
 a valid one-combination-per-subchannel allocation.  If the lower end never

@@ -15,6 +15,13 @@ set; the min-power tie rule picks the discrete allocation X_min whose total
 power is the least of every optimal value at that mu.  The total optimal
 power X*(mu) is nonincreasing in mu, which is what the bisection solvers
 exploit.
+
+Each V is concave and nondecreasing in mu, so inside a bisection bracket
+only the combinations whose score at the lower end is within a margin of
+the least score at the upper end can still win (safe screening, in the
+spirit of Ndiaye, Fercoq, Gramfort and Salmon, JMLR 2017).  Given the two
+end evaluations, ``evaluate_mu`` scores only those; its docstring states
+the rule, why it is sound, and the margin.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import get_kernels
+from .kernels import ROOT_REL_TOL, get_kernels
 from .snr import SnrDistribution
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
@@ -55,6 +62,7 @@ class ProblemInstance:
         self._flat = None
         self._mu_bounds = None
         self._thresholds = None
+        self._eu0 = None
 
     @property
     def n_subchannels(self) -> int:
@@ -140,9 +148,9 @@ class AllocationState:
 class MuEvaluation:
     """Everything the solvers need at one multiplier value."""
 
-    p_star: np.ndarray     # (N,K,M)
-    exp_util: np.ndarray   # (N,K,M) expected utility at p_star
-    v: np.ndarray          # (N,K,M) = mu*p_star - exp_util
+    p_star: np.ndarray     # (N,K,M); NaN where screened out (evaluate_mu)
+    exp_util: np.ndarray   # (N,K,M) expected utility at p_star; NaN likewise
+    v: np.ndarray          # (N,K,M) = mu*p_star - exp_util; +inf likewise
     alloc_min: AllocationState = field(repr=False)  # min-power tie rule
 
     @property
@@ -162,19 +170,110 @@ def _tie_mask(v2: np.ndarray, slack=0.0) -> np.ndarray:
     return (v2 <= v_min + (eps + slack)) & (v_min <= -eps)
 
 
-def evaluate_mu(inst: ProblemInstance, mu: float) -> MuEvaluation:
-    """Score all combinations at mu and build the min-power discrete allocation.
+def _expected_at_roots(inst: ProblemInstance, rows, p: np.ndarray) -> np.ndarray:
+    """Expected utilities at powers p on flat indices rows (slice(None): all).
+
+    Only the rows with p > 0 go through the kernel when they are at most half
+    of rows, the share ``power_roots`` gathers at entry, so no larger
+    (rows, atoms) block is copied; the others take E U(0), computed for
+    every combination once per instance, on first need.  Per-row kernel
+    sums do not depend on the rows present, so the bits are those of one
+    pass over rows.
+    """
+    on = p > 0.0
+    if 2 * np.count_nonzero(on) > p.size:
+        return get_kernels().expected_utilities(*_rows(inst, rows), p)
+    if inst._eu0 is None:
+        inst._eu0 = get_kernels().expected_utilities(
+            *_rows(inst), np.zeros(inst.shape).ravel())
+    eu = inst._eu0[rows].copy()
+    if on.any():
+        flat = rows if isinstance(rows, np.ndarray) else np.arange(eu.size)
+        eu[on] = get_kernels().expected_utilities(*_rows(inst, flat[on]), p[on])
+    return eu
+
+
+# Screening slack per unit of max(mu * p + |E U|) over a subchannel's rows at
+# the lower end: two inexact roots and the rounding of four scores
+# (evaluate_mu's docstring).
+_SCREEN_RTOL = 4.0 * ROOT_REL_TOL + 64.0 * np.finfo(float).eps
+
+
+def _survivors(inst: ProblemInstance, mu: float, at_lo: MuEvaluation,
+               at_hi: MuEvaluation) -> np.ndarray:
+    """Flat indices of the combinations that can still tie for their
+    subchannel's least score at mu, inside the bracket whose ends were
+    evaluated as at_lo and at_hi (the screening rule of evaluate_mu)."""
+    n_sub = inst.n_subchannels
+    v_lo = at_lo.v.reshape(n_sub, -1)
+    scale = (mu * at_lo.p_star.reshape(n_sub, -1)
+             + np.abs(at_lo.exp_util.reshape(n_sub, -1)))
+    margin = (V_TIE_RTOL * np.maximum(1.0, -v_lo.min(axis=1, initial=0.0))
+              + _SCREEN_RTOL * scale.max(axis=1, initial=0.0,
+                                         where=np.isfinite(v_lo)))
+    cut = at_hi.v.reshape(n_sub, -1).min(axis=1, initial=0.0) + margin
+    return np.flatnonzero(v_lo <= cut[:, None])
+
+
+def evaluate_mu(inst: ProblemInstance, mu: float,
+                at_lo: MuEvaluation | None = None,
+                at_hi: MuEvaluation | None = None) -> MuEvaluation:
+    """Score the combinations at mu and build the min-power discrete allocation.
 
     Each subchannel goes to its tied combination of least power, the lowest
-    index among equal powers.
+    index among equal powers.  Without at_lo and at_hi every combination is
+    scored.
+
+    **Screening.**  With at_lo and at_hi, the evaluations at the ends of a
+    bracket [lo, hi] that holds mu, only the survivors are scored: on
+    subchannel n, the combinations c with
+
+        V_c(lo) <= min(0, min_c' V_c'(hi)) + margin_n.
+
+    The others carry v = +inf, so that a narrower bracket with this
+    evaluation at one end keeps them out, and NaN p_star and exp_util.
+    ``alloc_min`` is bit for bit the one of a full evaluation.
+
+    *Why it is sound.*  V_c(mu) = min_p (mu p - E U_c(p)) is concave and
+    nondecreasing in mu, so V_c(lo) <= V_c(mu) <= V_c(hi).  A combination
+    tied at mu has V_c(mu) <= v_min(mu) + eps(mu) <= 0 and v_min(mu) <=
+    V_c'(mu) <= V_c'(hi) for every c', so V_c(lo) <= min(0, min V(hi)) +
+    eps(mu).  The minimum of a subchannel with a winner is itself tied, so
+    it survives: v_min and the tie band are those of the full evaluation,
+    the tied set is the same, and so is the least-power pick.  A subchannel
+    with no winner has none among its survivors either.
+
+    *The margin*, for computed scores, is the sum of
+      * the tie band: eps(mu) = V_TIE_RTOL * max(1, |v_min(mu)|) with
+        v_min(lo) <= v_min(mu) <= 0, so V_TIE_RTOL * max(1, -min(0,
+        v_min(lo)));
+      * inexact roots: the score's slope in p is mu - marginal(p), and the
+        kernels accept a root p at |mu - marginal(p)| <= ROOT_REL_TOL * mu.
+        The score is convex in p, so it exceeds V_c(mu) by at most
+        ROOT_REL_TOL * mu * |p - p*| <= 2 ROOT_REL_TOL * mu * p_c(lo) while
+        p* <= 2p, i.e. unless the marginal is flat to ROOT_REL_TOL over
+        [p, 2p] (the wide-range atoms of ROADMAP item 6).  Two scores carry
+        it: the row's own at lo and the hi minimizer's at mu;
+      * float rounding: 16 ulps of mu * p + |E U| on each of four scores.
+    With S_n the largest mu * p + |E U| over the subchannel's rows at lo,
+    margin_n = V_TIE_RTOL * max(1, -min(0, v_min(lo))) + (4 ROOT_REL_TOL +
+    64 ulp) * S_n: a few 1e-9 relative, far below the spread of scores
+    across a bracket that still has steps to go.
+
+    Expected utilities are computed where p* > 0 and taken from a
+    per-instance E U(0) cache elsewhere (``_expected_at_roots``).
     """
     if not np.isfinite(mu):
         raise ValueError("multiplier must be finite")
-    rows = _rows(inst)
-    p_flat = get_kernels().power_roots(*rows, float(mu), *_thresholds(inst))
-    p_star = p_flat.reshape(inst.shape)
-    exp_util = get_kernels().expected_utilities(*rows, p_flat).reshape(inst.shape)
-    v = mu * p_star - exp_util
+    rows = (slice(None) if at_lo is None or at_hi is None
+            else _survivors(inst, mu, at_lo, at_hi))
+    p = get_kernels().power_roots(*_rows(inst, rows), float(mu),
+                                  *_thresholds(inst, rows))
+    eu = _expected_at_roots(inst, rows, p)
+    p_star, exp_util, v = (np.full(inst.shape, fill)
+                           for fill in (np.nan, np.nan, np.inf))
+    p_star.ravel()[rows], exp_util.ravel()[rows] = p, eu
+    v.ravel()[rows] = mu * p - eu
 
     n_sub = inst.n_subchannels
     p2 = p_star.reshape(n_sub, -1)
@@ -211,8 +310,9 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
                    kappa: float) -> _Bracket:
     """Halve [lo, hi] on the power price mu around the budget-binding point.
 
-    ``evaluate(mu)`` is the work done at one price and ``total(result)`` the
-    power it spends.  One comparison decides binding: a midpoint with
+    ``evaluate(mu, at_lo, at_hi)`` is the work done at one price, given the
+    results at the bracket's ends (None for an end not evaluated yet), and
+    ``total(result)`` the power it spends.  One comparison decides binding: a midpoint with
     ``total >= budget`` becomes the lower end, any other the upper end.  Stops
     once the bracket is at most kappa wide, or once its ends are adjacent
     floats (a kappa below their spacing).  Ends are evaluated lazily: only
@@ -227,7 +327,7 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
         if not lo < mid < hi:
             break
         mids.append(mid)
-        at_mid = evaluate(mid)
+        at_mid = evaluate(mid, at_lo, at_hi)
         if total(at_mid) >= budget:
             lo, at_lo = mid, at_mid
         else:

@@ -25,7 +25,7 @@ therefore reproducible and mutually independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr, chndtr, chndtrix, gammaincinv
@@ -99,7 +99,6 @@ class ChannelRealization:
 class EstimateState:
     mean: np.ndarray        # (N, K) complex, MMSE estimate of freq_gains
     est_error_var: float    # common diagonal of cov(h_k | pilots)
-    cov_diagonal: np.ndarray = field(repr=False, default=None)  # (N,) for diagnostics
 
 
 def draw_channel(cfg: ChannelConfig, seed: int) -> ChannelRealization:
@@ -145,9 +144,8 @@ def mmse_estimate(cfg: ChannelConfig, realization: ChannelRealization,
     mean = r_hy @ sol
 
     cov = r_hh - r_hy @ np.linalg.solve(r_yy, r_hy.conj().T)
-    diag = np.real(np.diag(cov)).copy()
-    return EstimateState(mean=mean, est_error_var=float(max(diag[0], 0.0)),
-                         cov_diagonal=diag)
+    return EstimateState(mean=mean,
+                         est_error_var=float(max(np.real(cov[0, 0]), 0.0)))
 
 
 class SnrDistribution:
@@ -249,15 +247,21 @@ def conditional_snr_dist(hhat, est_error_var: float,
 
     laws = ~spike
     nc = nc[laws, None]
-    central = nc == 0.0  # prior or no pilot; chndtr(x, df, 0) is off by ulps
+    # prior or no pilot: chndtr(x, df, 0) is off by ulps; each branch is
+    # evaluated on its own laws only
+    central = nc[:, 0] == 0.0
+    other = ~central
     probs = np.linspace(0.0, 1.0, n_atoms + 1)
+    edges = np.empty((nc.size, n_atoms + 1))
+    cdfs = np.empty((3,) + edges.shape)
     with np.errstate(over="ignore"):
-        edges = np.where(central, 2.0 * gammaincinv(1.0, probs),
-                         chndtrix(probs, 2.0, nc))
+        edges[central] = 2.0 * gammaincinv(1.0, probs)
+        edges[other] = chndtrix(probs, 2.0, nc[other])
         edges[:, 0], edges[:, -1] = 0.0, np.inf
-        mass, mass4, mass6 = (
-            np.diff(np.where(central, chdtr(df, edges), chndtr(edges, df, nc)),
-                    axis=1) for df in (2.0, 4.0, 6.0))
+        for cdf, df in zip(cdfs, (2.0, 4.0, 6.0)):
+            cdf[central] = chdtr(df, edges[central])
+            cdf[other] = chndtr(edges[other], df, nc[other])
+    mass, mass4, mass6 = np.diff(cdfs, axis=2)
     numer = 2.0 * mass4 + nc * mass6
     good = mass > 0.0
     # degenerate bins (ppf saturation in extreme tails): mean-preserving fallback

@@ -54,7 +54,7 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     packed = _rows(inst, active)
     zero = _thresholds(inst, active)
 
-    def roots(mu):
+    def roots(mu, *_ends):
         return get_kernels().power_roots(*packed, mu, *zero)
 
     br = _bisect_budget(roots, np.sum, inst.p_con, mu_min, mu_max, kappa)

@@ -193,6 +193,25 @@ def bisection_mids(inst):
                           mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -40).mids
 
 
+def dense_mmse_oracle(c, real, seed):
+    """Direct dense-matrix evaluation of the conditional-Gaussian formulas:
+    the MMSE mean and the diagonal of cov(h_k | pilots), whose constancy
+    lets ``mmse_estimate`` return one ``est_error_var``."""
+    f = c.dft_columns()
+    r_hh = c.sigma_g2 * f @ f.conj().T
+    pp = c.pilot_power
+    r_hy = np.sqrt(pp) * r_hh
+    r_yy = pp * r_hh + np.eye(c.n_subchannels)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    noise = (rng.standard_normal((c.n_subchannels, c.n_users))
+             + 1j * rng.standard_normal((c.n_subchannels, c.n_users))) / np.sqrt(2)
+    obs = np.sqrt(pp) * real.freq_gains + noise
+    inv = np.linalg.inv(r_yy)
+    mean = r_hy @ inv @ obs
+    cov = r_hh - r_hy @ inv @ r_hy.conj().T
+    return mean, np.real(np.diag(cov))
+
+
 def ncx2_snr_dist(hhat, est_error_var, n_atoms):
     """``conditional_snr_dist`` built through ``scipy.stats.ncx2``.
 

@@ -22,7 +22,7 @@ def test_bench_pairs_writes_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert set(doc) >= {"label", "sides", "environment", "stats", "wins",
-                        "runs"}
+                        "traced", "runs"}
     assert set(doc["environment"]) >= {"python", "numpy", "scipy", "cores",
                                        "loadavg_before", "loadavg_after"}
     for side in ("parent", "change"):
@@ -39,6 +39,9 @@ def test_bench_pairs_writes_schema(tmp_path):
         assert set(stats) == set(names)
         for m in names:
             assert set(stats[m]) == {"median", "q1", "q3", "n"}
+    for side in ("parent", "change"):
+        traced = doc["traced"]["desk_sweep"][side]
+        assert {"kernels.power_roots_rows", "csra.iterations"} <= set(traced)
     for m in names:
         w = doc["wins"]["desk_sweep"][m]
         assert w["pairs"] == 1 and w["change"] + w["parent"] <= 1

@@ -1,12 +1,19 @@
-"""Continuous solver: brackets, blends, certificates."""
+"""Continuous solver: brackets, blends, certificates, screening."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofdma_sra import (allocation_utility, csra, default_kappa, mu_bounds,
-                       solve_csra)
+from ofdma_sra import (ChannelConfig, McsTable, ScenarioConfig,
+                       allocation_utility, csra, default_kappa, evaluate_mu,
+                       mu_bounds, solve_csra)
+from ofdma_sra.dual import _bisect_budget
+from ofdma_sra.experiments import build_trial_instances
+from ofdma_sra.kernels import get_kernels
 from conftest import atom_instance, point_mass_instance, single_combo_instance
 from reference import check_allocation, iteration_bound
+from test_dsra import make_tie_instance
 
 
 def test_single_combination_closed_form():
@@ -27,9 +34,9 @@ def test_bisection_evaluates_only_midpoints(monkeypatch):
     calls = []
     evaluate = csra.evaluate_mu
 
-    def record(instance, mu):
+    def record(instance, mu, *ends):
         calls.append(mu)
-        return evaluate(instance, mu)
+        return evaluate(instance, mu, *ends)
 
     monkeypatch.setattr(csra, "evaluate_mu", record)
     res = solve_csra(inst)
@@ -44,11 +51,11 @@ def test_kappa_below_float_spacing_stops_at_adjacent_floats(monkeypatch):
     calls = []
     evaluate = csra.evaluate_mu
 
-    def capped(instance, mu):
+    def capped(instance, mu, *ends):
         calls.append(mu)
         if len(calls) > 2000:
             raise RuntimeError("the bisection does not stop")
-        return evaluate(instance, mu)
+        return evaluate(instance, mu, *ends)
 
     monkeypatch.setattr(csra, "evaluate_mu", capped)
     res = solve_csra(inst, kappa=1e-17)
@@ -124,3 +131,109 @@ def test_invalid_kappa():
     inst = single_combo_instance()
     with pytest.raises(ValueError):
         solve_csra(inst, kappa=0.0)
+
+
+# -- screening: survivors only once both bracket ends exist ---------------------
+
+
+def desk_instance(seed, pilot_snr_db=-10.0):
+    """The ICSI instance of a desk-shape trial (16 x 4 x 4, 32 atoms)."""
+    cfg = ScenarioConfig(
+        channel=ChannelConfig(n_subchannels=16, n_users=4, snr_db=10.0,
+                              pilot_snr_db=pilot_snr_db),
+        n_mcs=4, n_atoms=32)
+    return build_trial_instances(cfg, seed)["icsi"]
+
+
+def bits(alloc):
+    return alloc.indicator.tobytes(), alloc.actual_power.tobytes()
+
+
+def screened_bisection(inst):
+    """Bisect to adjacent floats, checking each evaluation's min-power
+    allocation against a full evaluation's, bit for bit.  Returns, per
+    evaluation, whether both ends existed (whether it was screened)."""
+    screened = []
+
+    def evaluate(mu, at_lo=None, at_hi=None):
+        ev = evaluate_mu(inst, mu, at_lo, at_hi)
+        full = evaluate_mu(inst, mu)
+        assert bits(ev.alloc_min) == bits(full.alloc_min)
+        assert ev.total_power_min == full.total_power_min
+        screened.append(at_lo is not None and at_hi is not None)
+        return ev
+
+    mu_min, mu_max = mu_bounds(inst)
+    _bisect_budget(evaluate, lambda ev: ev.total_power_min, inst.p_con,
+                   mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -60)
+    return screened
+
+
+@st.composite
+def screening_case(draw):
+    """Random atoms, the crossing-score tie, point masses with exact and
+    near ties between users, or a desk-shape ICSI instance."""
+    kind = draw(st.sampled_from(["atoms", "tie", "point_mass", "desk"]))
+    if kind == "tie":
+        return make_tie_instance()
+    if kind == "desk":
+        return desk_instance(draw(st.integers(0, 2 ** 16)),
+                             draw(st.sampled_from([-20.0, -10.0, 0.0, 10.0])))
+    n_sub, n_usr, n_mcs = (draw(st.integers(1, 3)) for _ in range(3))
+    p_con = 10.0 ** draw(st.floats(-1.0, 2.0))
+    if kind == "atoms":
+        return atom_instance(draw(st.integers(0, 2 ** 16)), n_sub, n_usr, n_mcs,
+                             draw(st.integers(1, 8)), p_con)
+    gammas = 10.0 ** np.reshape(draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=n_sub * n_usr, max_size=n_sub * n_usr)),
+        (n_sub, n_usr))
+    # users that copy user 0 up to a relative nudge: their scores tie, or
+    # differ by less than the tie band
+    nudge = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-10]))
+    for k in range(1, n_usr):
+        if draw(st.booleans()):
+            gammas[:, k] = gammas[:, 0] * (1.0 + k * nudge)
+    return point_mass_instance(gammas, p_con, mcs=McsTable.qam(n_usr, n_mcs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(screening_case())
+def test_screened_midpoints_match_full_evaluation(inst):
+    screened_bisection(inst)
+
+
+def test_screening_is_exercised_on_ties_and_desk_shapes():
+    for inst in (make_tie_instance(), desk_instance(1),
+                 point_mass_instance([[1.0, 1.0 + 1e-12], [2.0, 2.0]], 4.0)):
+        screened = screened_bisection(inst)
+        assert sum(screened) > len(screened) // 2
+
+
+def test_roots_after_both_ends_run_only_on_survivors(monkeypatch):
+    inst = desk_instance(3)
+    n_rows = inst.flat()[0].shape[0]
+    namespace = get_kernels()
+    roots = namespace.power_roots
+    rows = []
+    monkeypatch.setattr(namespace, "power_roots",
+                        lambda *args: rows.append(args[0].shape[0])
+                        or roots(*args))
+    evaluate = csra.evaluate_mu
+    steps = []
+
+    def record(instance, mu, *ends):
+        ev = evaluate(instance, mu, *ends)
+        scored = np.count_nonzero(np.isfinite(ev.v))
+        steps.append((None not in ends, scored))
+        return ev
+
+    monkeypatch.setattr(csra, "evaluate_mu", record)
+    res = solve_csra(inst)
+    # both ends move, so every evaluation is a midpoint; the water-filling
+    # roots come after them
+    assert len(steps) == res.iterations
+    assert any(both for both, _ in steps)
+    for (both, scored), kernel_rows in zip(steps, rows):
+        assert kernel_rows == scored
+        assert (kernel_rows < n_rows) if both else (kernel_rows == n_rows)
+    assert steps[-1][1] <= n_rows // 4

@@ -69,37 +69,24 @@ def test_config_validation():
 # -- MMSE estimation ---------------------------------------------------------
 
 
-def dense_mmse_oracle(c: ChannelConfig, real, seed):
-    """Direct dense-matrix evaluation of the conditional-Gaussian formulas."""
-    f = c.dft_columns()
-    r_hh = c.sigma_g2 * f @ f.conj().T
-    pp = c.pilot_power
-    r_hy = np.sqrt(pp) * r_hh
-    r_yy = pp * r_hh + np.eye(c.n_subchannels)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    noise = (rng.standard_normal((c.n_subchannels, c.n_users))
-             + 1j * rng.standard_normal((c.n_subchannels, c.n_users))) / np.sqrt(2)
-    obs = np.sqrt(pp) * real.freq_gains + noise
-    inv = np.linalg.inv(r_yy)
-    mean = r_hy @ inv @ obs
-    cov = r_hh - r_hy @ inv @ r_hy.conj().T
-    return mean, np.real(np.diag(cov))
-
-
 def test_mmse_matches_dense_oracle():
     c = cfg(n=4, k=2, l=2, pilot=0.0)  # pilot power 1
     real = draw_channel(c, seed=42)
     est = mmse_estimate(c, real, seed=42)
-    mean_ref, diag_ref = dense_mmse_oracle(c, real, seed=42)
+    mean_ref, diag_ref = reference.dense_mmse_oracle(c, real, seed=42)
     assert np.max(np.abs(est.mean - mean_ref)) < 1e-10
     assert abs(est.est_error_var - diag_ref[0]) < 1e-10
 
 
 def test_mmse_cov_diagonal_equal():
+    # est_error_var stands for the whole diagonal of cov(h_k | pilots)
     for n, l in [(8, 2), (16, 3), (5, 4)]:
         c = cfg(n=n, k=2, l=l, pilot=-3.0)
-        est = mmse_estimate(c, draw_channel(c, seed=1), seed=1)
-        assert est.cov_diagonal.max() - est.cov_diagonal.min() < 1e-10
+        real = draw_channel(c, seed=1)
+        est = mmse_estimate(c, real, seed=1)
+        diag = reference.dense_mmse_oracle(c, real, seed=1)[1]
+        assert diag.max() - diag.min() < 1e-10
+        assert abs(est.est_error_var - diag[0]) < 1e-10
 
 
 def test_mmse_no_pilot_limit():
