@@ -11,10 +11,13 @@ and nondecreasing, so a combination whose score at the lower end exceeds
 min(0, least score at the upper end) plus a few 1e-9 relative (the tie band,
 the root tolerance and rounding) can never tie inside it.  The screened
 allocations, mu_lo, mu_hi and the step count are bit for bit those of full
-evaluations; at full scale a midpoint scores ~60-600 of 15 360 rows.  The endpoint allocations (min-power tie rule) are
-combined with the weight lam that meets the budget exactly; when the two
-endpoint allocations coincide, or lam is 0 or 1, the combination is itself
-a valid one-combination-per-subchannel allocation.  If the lower end never
+evaluations; at full scale a screened midpoint scores 64-1279 of 15 360
+rows.
+
+The endpoint allocations (min-power tie rule) are combined with the weight
+lam that meets the budget exactly; when the two endpoint allocations
+coincide, or lam is 0 or 1, the combination is itself a valid
+one-combination-per-subchannel allocation.  If the lower end never
 moved and spends less than P_con, the budget is slack: the bracket
 collapses to [mu_min, mu_min] with lam = 0 and no midpoints.
 

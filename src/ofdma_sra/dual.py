@@ -16,12 +16,11 @@ power is the least of every optimal value at that mu.  The total optimal
 power X*(mu) is nonincreasing in mu, which is what the bisection solvers
 exploit.
 
-Each V is concave and nondecreasing in mu, so inside a bisection bracket
-only the combinations whose score at the lower end is within a margin of
-the least score at the upper end can still win (safe screening, in the
-spirit of Ndiaye, Fercoq, Gramfort and Salmon, JMLR 2017).  Given the two
-end evaluations, ``evaluate_mu`` scores only those; its docstring states
-the rule, why it is sound, and the margin.
+Each V is concave and nondecreasing in mu, so given the evaluations at the
+ends of a bisection bracket ``evaluate_mu`` scores only the combinations
+that can still win inside it (safe screening, after Ndiaye, Fercoq,
+Gramfort and Salmon, JMLR 2017; the rule and its margin are in its
+docstring).
 """
 
 from __future__ import annotations
