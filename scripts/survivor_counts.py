@@ -32,9 +32,9 @@ def count_steps(inst, kappa) -> dict:
     evaluate = csra.evaluate_mu
     steps = []
 
-    def counted(instance, mu, *ends):
-        ev = evaluate(instance, mu, *ends)
-        steps.append({"screened": len(ends) == 2 and None not in ends,
+    def counted(instance, mu, at_lo=None, at_hi=None):
+        ev = evaluate(instance, mu, at_lo, at_hi)
+        steps.append({"screened": at_lo is not None and at_hi is not None,
                       "rows": int(np.count_nonzero(np.isfinite(ev.v)))})
         return ev
 

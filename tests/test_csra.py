@@ -221,10 +221,10 @@ def test_roots_after_both_ends_run_only_on_survivors(monkeypatch):
     evaluate = csra.evaluate_mu
     steps = []
 
-    def record(instance, mu, *ends):
-        ev = evaluate(instance, mu, *ends)
+    def record(instance, mu, at_lo=None, at_hi=None):
+        ev = evaluate(instance, mu, at_lo, at_hi)
         scored = np.count_nonzero(np.isfinite(ev.v))
-        steps.append((None not in ends, scored))
+        steps.append((at_lo is not None and at_hi is not None, scored))
         return ev
 
     monkeypatch.setattr(csra, "evaluate_mu", record)
