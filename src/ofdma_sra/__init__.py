@@ -15,7 +15,7 @@ from .dual import (AllocationState, ProblemInstance, allocation_goodput,
 from .waterfill import FixedAllocationSolve, solve_fixed_allocation
 from .csra import CsraResult, default_kappa, solve_csra
 from .dsra import DsraResult, dsra_gap_bound, solve_dsra
-from .baselines import SubgradientTrace, fp_rus_baseline, subgradient_baseline
+from .baselines import fp_rus_baseline, subgradient_baseline
 from .experiments import (ConfigError, ScenarioConfig, TrialRecord,
                           UtilityConfig, run_scenario, run_trial)
 
@@ -29,7 +29,7 @@ __all__ = [
     "FixedAllocationSolve", "solve_fixed_allocation",
     "CsraResult", "default_kappa", "solve_csra",
     "DsraResult", "dsra_gap_bound", "solve_dsra",
-    "SubgradientTrace", "fp_rus_baseline", "subgradient_baseline",
+    "fp_rus_baseline", "subgradient_baseline",
     "ConfigError", "ScenarioConfig", "TrialRecord", "UtilityConfig",
     "run_scenario", "run_trial",
 ]

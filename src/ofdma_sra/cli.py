@@ -40,9 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "run":  # pragma: no cover - argparse enforces this
-        return EXIT_CONFIG
-
     try:
         cfg = ScenarioConfig.from_file(args.config)
         if args.seed is not None:

@@ -62,7 +62,6 @@ class CsraResult:
     alloc_hi: AllocationState
     lam: float
     blend: AllocationState
-    blend_utility: float
     alloc: AllocationState      # best feasible candidate (blend or fixed_lo/hi)
     utility: float              # expected utility of `alloc`
     gap_bound: float            # (mu_hi - mu_lo) * P_con
@@ -83,7 +82,7 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
 
     mu_min, mu_max = mu_bounds(inst)
     br = _bisect_budget(partial(evaluate_mu, inst),
-                        lambda ev: ev.total_power_min, inst.p_con,
+                        lambda ev: ev.alloc_min.total_power, inst.p_con,
                         mu_min, mu_max, kappa)
     # The budget is slack when even mu_min, the lower end that then never
     # moved, spends less than P_con.  Reachable: atoms of a wide dynamic
@@ -91,7 +90,7 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     # ROOT_REL_TOL of mu_min, and the allocation spends a fraction of P_con
     # with gap 0; what to do instead is open (ROADMAP.md, robust sweeps).  The
     # tolerance keeps root-find noise at the exactly-binding corner out.
-    budget_slack = br.at_lo.total_power_min < inst.p_con * (1.0 - 1e-6)
+    budget_slack = br.at_lo.alloc_min.total_power < inst.p_con * (1.0 - 1e-6)
     if budget_slack:
         br = _Bracket(mu_min, mu_min, br.at_lo, br.at_lo, [], 0.0)
     lam, mu_lo, mu_hi = br.lam, br.lo, br.hi
@@ -100,25 +99,22 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     degenerate = lam in (0.0, 1.0) or same_ends
     blend = AllocationState(
         lam * alloc_hi.indicator + (1.0 - lam) * alloc_lo.indicator,
-        lam * alloc_hi.actual_power + (1.0 - lam) * alloc_lo.actual_power,
-        discrete=degenerate)
-    blend_utility = allocation_utility(inst, blend)
+        lam * alloc_hi.actual_power + (1.0 - lam) * alloc_lo.actual_power)
 
     water_fill = partial(solve_fixed_allocation, inst,
                          kappa=refinement_kappa(mu_min, mu_max, kappa))
     fixed_lo = water_fill(alloc_lo.indicator)
     fixed_hi = fixed_lo if same_ends else water_fill(alloc_hi.indicator)
 
-    best_alloc, best_util = blend, blend_utility
+    best_alloc, best_util = blend, allocation_utility(inst, blend)
     for fs in (fixed_lo, fixed_hi):
         if fs.utility > best_util:
-            best_util, best_alloc = fs.utility, fs.allocation()
+            best_util, best_alloc = fs.utility, fs.alloc
 
     return CsraResult(
         mu_min=mu_min, mu_max=mu_max, mu_lo=mu_lo, mu_hi=mu_hi,
         alloc_lo=alloc_lo, alloc_hi=alloc_hi, lam=lam,
-        blend=blend, blend_utility=blend_utility,
-        alloc=best_alloc, utility=best_util,
+        blend=blend, alloc=best_alloc, utility=best_util,
         gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
         budget_slack=budget_slack, degenerate_blend=degenerate,
         fixed_lo=fixed_lo, fixed_hi=fixed_hi)

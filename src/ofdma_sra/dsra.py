@@ -32,13 +32,11 @@ from .dual import AllocationState, ProblemInstance, _tie_mask, evaluate_mu
 class DsraResult:
     """Chosen discrete allocation plus certificates."""
 
-    alloc: AllocationState
+    alloc: AllocationState  # the chosen candidate's water-filled allocation
     utility: float
-    lagrangian: float
-    candidate_lagrangians: np.ndarray
     gap_bound: float
     exact_from_continuous: bool
-    csra: CsraResult | None = None
+    csra: CsraResult        # the continuous solve whose ends were ranked
 
 
 def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
@@ -74,9 +72,7 @@ def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
 def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
                csra_result: CsraResult | None = None) -> DsraResult:
     """Rank the continuous solver's endpoint water-fillings."""
-    if csra_result is None:
-        csra_result = solve_csra(inst, kappa)
-    res = csra_result
+    res = solve_csra(inst, kappa) if csra_result is None else csra_result
     exact = res.degenerate_blend  # also whenever the budget is slack
     if exact:
         cands = [res.fixed_hi if res.lam == 1.0 else res.fixed_lo]
@@ -85,8 +81,6 @@ def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
     # least Lagrangian, then most utility, then the lower end
     best = min(cands, key=lambda fs: (fs.lagrangian, -fs.utility))
     return DsraResult(
-        alloc=best.allocation(), utility=best.utility,
-        lagrangian=best.lagrangian,
-        candidate_lagrangians=np.array([fs.lagrangian for fs in cands]),
+        alloc=best.alloc, utility=best.utility,
         gap_bound=dsra_gap_bound(inst, res), exact_from_continuous=exact,
         csra=res)

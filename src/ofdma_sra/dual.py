@@ -123,7 +123,6 @@ class AllocationState:
 
     indicator: np.ndarray
     actual_power: np.ndarray
-    discrete: bool = False
 
     def __post_init__(self):
         self.indicator = np.asarray(self.indicator, dtype=float)
@@ -151,10 +150,6 @@ class MuEvaluation:
     exp_util: np.ndarray   # (N,K,M) expected utility at p_star; NaN likewise
     v: np.ndarray          # (N,K,M) = mu*p_star - exp_util; +inf likewise
     alloc_min: AllocationState = field(repr=False)  # min-power tie rule
-
-    @property
-    def total_power_min(self) -> float:
-        return self.alloc_min.total_power
 
 
 def _tie_mask(v2: np.ndarray, slack=0.0) -> np.ndarray:
@@ -283,8 +278,7 @@ def evaluate_mu(inst: ProblemInstance, mu: float,
     x = np.zeros(p2.shape)
     indicator[n, win[n]] = 1.0
     x[n, win[n]] = p2[n, win[n]]
-    alloc = AllocationState(indicator.reshape(inst.shape), x.reshape(inst.shape),
-                            discrete=True)
+    alloc = AllocationState(indicator.reshape(inst.shape), x.reshape(inst.shape))
     return MuEvaluation(p_star=p_star, exp_util=exp_util, v=v, alloc_min=alloc)
 
 

@@ -409,14 +409,13 @@ def run_trial(cfg: ScenarioConfig, sweep_index: int, trial: int) -> list[TrialRe
                    mu_lo=res.csra.mu_lo, mu_hi=res.csra.mu_hi,
                    iters=res.csra.iterations, dt=time.perf_counter() - t0)
         elif scheme == "FP-RUS":
-            alloc, _ = fp_rus_baseline(parts["prior"], seed)
-            g, u = _metrics(parts["prior"], alloc)
+            g, u = _metrics(parts["prior"], fp_rus_baseline(parts["prior"], seed))
             record(scheme, g, u, dt=time.perf_counter() - t0)
         elif scheme == "SUBGRAD-ICSI":
-            trace = subgradient_baseline(parts["icsi"],
+            alloc = subgradient_baseline(parts["icsi"],
                                          swept.subgradient_updates,
                                          swept.subgradient_scale)
-            g, u = _metrics(parts["icsi"], trace.alloc)
+            g, u = _metrics(parts["icsi"], alloc)
             record(scheme, g, u, iters=swept.subgradient_updates,
                    dt=time.perf_counter() - t0)
     return records

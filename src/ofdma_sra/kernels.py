@@ -37,15 +37,18 @@ p=0 (the activation thresholds, cached per instance by ``dual``): rows at or
 below ``mu`` get 0, and the first step needs no pass.  Each row keeps a
 bracket ``[lo, hi]``, ``hi`` infinite until a step lands at or below ``mu``;
 a step that is not finite or leaves the bracket is replaced by bisection, or
-by doubling while ``hi`` is infinite.  A row is done once
-``|marginal(p) - mu| <= ROOT_REL_TOL * mu``.  Rows still open after
-``ROOT_MAX_ITER`` steps (an infinite root: ``mu`` = 0 and a marginal that
-never reaches 0) keep their last power, and the call raises one
-``RuntimeWarning`` naming how many rows failed.  Rows drop out of the working
-set as they converge; it is gathered anew only when at most half of it is
-unfinished, at entry and after each pass, because a gather copies the (rows,
-atoms) arrays and gathering a larger share would hold more memory than the
-loop saves.
+while ``hi`` is infinite by ``lo`` times max(2, marginal / mu) (2 at mu = 0,
+capped at the largest float): on capacity-log rows at r == 1 the marginal
+falls like 1/p, so the root is near 1/mu, but the slope underflows to 0 once
+p exceeds ~1e154, where doubling would not reach 1e300 in ``ROOT_MAX_ITER``
+steps.  A row is done once ``|marginal(p) - mu| <= ROOT_REL_TOL * mu``.
+Rows still open after ``ROOT_MAX_ITER`` steps (an infinite root: ``mu`` = 0
+and a marginal that never reaches 0) keep their last power, and the call
+raises one ``RuntimeWarning`` naming how many rows failed.  Rows drop out of
+the working set as they converge; it is gathered anew only when at most half
+of it is unfinished, at entry and after each pass, because a gather copies
+the (rows, atoms) arrays and gathering a larger share would hold more memory
+than the loop saves.
 
 Callers look the maps up through ``get_kernels()`` at call time, so that a
 profiler can wrap the namespace it returns.
@@ -61,6 +64,7 @@ import numpy as np
 ROOT_REL_TOL = 1e-9
 ROOT_MAX_ITER = 200
 _BLOCK_ROWS = 2048
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _u_value(ucode, theta, a, r, s):
@@ -169,7 +173,9 @@ def _power_roots(gamma, w, a, b, r, ucode, uparam, mu, mv0, dmv0):
     for _ in range(ROOT_MAX_ITER):
         with np.errstate(all="ignore"):
             step = p - np.log(mv / mu) * mv / dmv
-            fallback = np.where(hi == np.inf, np.maximum(2.0 * lo, 1.0),
+            grow = np.fmax(2.0, mv / mu) if mu > 0.0 else 2.0
+            fallback = np.where(hi == np.inf,
+                                np.fmin(np.fmax(grow * lo, 1.0), _FLOAT_MAX),
                                 0.5 * (lo + hi))
         inside = np.isfinite(step) & (step > lo) & (step < hi)
         p = np.where(inside, step, fallback)

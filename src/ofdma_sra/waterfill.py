@@ -21,19 +21,14 @@ from .kernels import get_kernels
 
 @dataclass
 class FixedAllocationSolve:
-    """Powers and dual diagnostics for one fixed indicator."""
+    """The water-filled allocation of one fixed indicator and its bracket."""
 
-    indicator: np.ndarray   # (N,K,M), {0,1}
-    x: np.ndarray           # (N,K,M) blended actual powers, sum == budget
+    alloc: AllocationState  # the indicator and blended powers, sum == budget
     mu_lo: float
     mu_hi: float
-    lam: float
     lagrangian: float       # dual value at mu_hi: -sum E{U} + (X - P_con)*mu_hi
     utility: float          # sum of expected utilities at the blended powers
     iterations: int
-
-    def allocation(self) -> AllocationState:
-        return AllocationState(self.indicator.copy(), self.x.copy(), discrete=True)
 
 
 def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
@@ -68,8 +63,8 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     x = np.zeros(inst.shape)
     x.ravel()[active] = p_blend
     return FixedAllocationSolve(
-        indicator=indicator.copy(), x=x, mu_lo=float(br.lo), mu_hi=float(br.hi),
-        lam=float(br.lam), lagrangian=lagrangian, utility=utility,
+        alloc=AllocationState(indicator.copy(), x), mu_lo=float(br.lo),
+        mu_hi=float(br.hi), lagrangian=lagrangian, utility=utility,
         iterations=len(br.mids))
 
 

@@ -9,12 +9,13 @@ the package does not import.
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.stats import ncx2
 
-from ofdma_sra import (AllocationState, DsraResult, allocation_utility,
+from ofdma_sra import (AllocationState, allocation_utility, baselines,
                        default_kappa, evaluate_mu, mu_bounds,
                        solve_fixed_allocation)
 from ofdma_sra.dual import _bisect_budget, _rows
@@ -27,8 +28,9 @@ GRID_MAX_ACTIVE = 4
 GRID_MAX_POINTS = 2000
 
 
-def check_allocation(alloc, atol=1e-9):
-    """Raise ValueError unless alloc is a feasible allocation state."""
+def check_allocation(alloc, atol=1e-9, discrete=False):
+    """Raise ValueError unless alloc is a feasible allocation state, with
+    every share 0 or 1 when discrete."""
     ind, x = alloc.indicator, alloc.actual_power
     if np.any(ind < -atol) or np.any(ind > 1.0 + atol):
         raise ValueError("indicator entries outside [0, 1]")
@@ -38,7 +40,7 @@ def check_allocation(alloc, atol=1e-9):
         raise ValueError("negative actual power")
     if np.any((ind == 0.0) & (np.abs(x) > atol)):
         raise ValueError("power assigned to an unallocated combination")
-    if alloc.discrete and np.any((ind != 0.0) & (np.abs(ind - 1.0) > atol)):
+    if discrete and np.any((ind != 0.0) & (np.abs(ind - 1.0) > atol)):
         raise ValueError("discrete allocation has fractional shares")
 
 
@@ -73,11 +75,19 @@ def indicators(inst, max_hypotheses=BRUTE_FORCE_CAP):
             itertools.product(range(-1, n_usr * n_mcs), repeat=n_sub))
 
 
+@dataclass
+class BruteForce:
+    """The exhaustive discrete optimum and every hypothesis's Lagrangian."""
+
+    alloc: AllocationState
+    utility: float
+    lagrangians: np.ndarray  # one per indicator, in ``indicators`` order
+
+
 def brute_force_dsra(inst, kappa=None, max_hypotheses=BRUTE_FORCE_CAP):
     """Exhaustive exact discrete solve; ranking key is achieved utility.
 
-    Water-fills every indicator and keeps the first utility maximum.  The
-    Lagrangian of every hypothesis is in ``candidate_lagrangians``.
+    Water-fills every indicator and keeps the first utility maximum.
     """
     if kappa is None:
         kappa = default_kappa(inst.p_con)
@@ -85,11 +95,8 @@ def brute_force_dsra(inst, kappa=None, max_hypotheses=BRUTE_FORCE_CAP):
     solves = [solve_fixed_allocation(inst, ind, refine_k)
               for ind in indicators(inst, max_hypotheses)]
     best = max(solves, key=lambda fs: fs.utility)
-    return DsraResult(
-        alloc=best.allocation(), utility=best.utility,
-        lagrangian=best.lagrangian,
-        candidate_lagrangians=np.array([fs.lagrangian for fs in solves]),
-        gap_bound=0.0, exact_from_continuous=False)
+    return BruteForce(alloc=best.alloc, utility=best.utility,
+                      lagrangians=np.array([fs.lagrangian for fs in solves]))
 
 
 def exhaustive_lagrangian_min(inst, mu, max_hypotheses=BRUTE_FORCE_CAP):
@@ -107,7 +114,7 @@ def exhaustive_lagrangian_min(inst, mu, max_hypotheses=BRUTE_FORCE_CAP):
         if l_val < best_l:
             best_l, best = l_val, ind
     x = best * ev.p_star
-    return AllocationState(best, x, discrete=True), x, best_l
+    return AllocationState(best, x), x, best_l
 
 
 def grid_power_oracle(inst, indicator, grid_points):
@@ -189,8 +196,29 @@ def bisection_mids(inst):
     """Every midpoint of the CSRA budget bisection run to a 2^-40 bracket."""
     mu_min, mu_max = mu_bounds(inst)
     return _bisect_budget(partial(evaluate_mu, inst),
-                          lambda ev: ev.total_power_min, inst.p_con,
+                          lambda ev: ev.alloc_min.total_power, inst.p_con,
                           mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -40).mids
+
+
+def traced_subgradient(inst, n_updates, scale=1.0):
+    """``subgradient_baseline`` and what it visited: (allocation, mus,
+    min-power totals), one entry per update, recorded by wrapping the
+    ``evaluate_mu`` the baseline calls."""
+    evaluate = baselines.evaluate_mu
+    steps = []
+
+    def record(instance, mu, *ends):
+        ev = evaluate(instance, mu, *ends)
+        steps.append((mu, ev.alloc_min.total_power))
+        return ev
+
+    baselines.evaluate_mu = record
+    try:
+        alloc = baselines.subgradient_baseline(inst, n_updates, scale)
+    finally:
+        baselines.evaluate_mu = evaluate
+    mus, totals = np.array(steps).reshape(-1, 2).T
+    return alloc, mus, totals
 
 
 def dense_mmse_oracle(c, real, seed):

@@ -13,11 +13,12 @@ from ofdma_sra import (ChannelConfig, McsTable, ScenarioConfig,
                        SnrDistribution, UtilitySpec, default_kappa,
                        draw_channel, dsra_gap_bound, evaluate_mu,
                        mmse_estimate, mu_bounds, run_trial, solve_csra,
-                       solve_dsra, subgradient_baseline)
+                       solve_dsra)
 from ofdma_sra.experiments import build_trial_instances
 from conftest import atom_instance, combo_instance, point_mass_instance
 from reference import (bisection_mids, brute_force_dsra, grid_power_oracle,
-                       indicator_cost, indicators, iteration_bound)
+                       indicator_cost, indicators, iteration_bound,
+                       traced_subgradient)
 
 P_CON = 4.0
 N_INSTANCES = 20
@@ -144,7 +145,8 @@ def test_criterion_03_total_power_monotone():
     for inst in insts:
         lo, hi = mu_bounds(inst)
         grid = np.linspace(lo, hi, 200)
-        xs = np.array([evaluate_mu(inst, m).total_power_min for m in grid])
+        xs = np.array([evaluate_mu(inst, m).alloc_min.total_power
+                       for m in grid])
         worst = max(worst, float(np.diff(xs).max()))
         assert np.all(np.diff(xs) <= 1e-9)
     print(f"[criterion 3] PASS: X*(mu) nonincreasing on 10 instances "
@@ -293,8 +295,8 @@ def test_criterion_09_convergence_rate():
     mids = bisection_mids(inst)
     mu_ref = mids[-1]
     err_bisect = abs(mids[14] - mu_ref)
-    trace = subgradient_baseline(inst, 15, scale=DESK.subgradient_scale)
-    err_sub = abs(trace.mus[-1] - mu_ref)
+    _, mus, _ = traced_subgradient(inst, 15, scale=DESK.subgradient_scale)
+    err_sub = abs(mus[-1] - mu_ref)
     assert err_bisect <= err_sub / 10.0
     print(f"[criterion 9] PASS: after 15 updates bisection err "
           f"{err_bisect:.2e} <= subgradient err {err_sub:.2e} / 10")

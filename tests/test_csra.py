@@ -81,12 +81,13 @@ def test_identical_subchannels_split_evenly():
 def test_csra_utility_matches_blend_and_dominates_endpoints():
     inst = atom_instance(seed=11, p_con=24.0)
     res = solve_csra(inst)
-    assert allocation_utility(inst, res.blend) == pytest.approx(
-        res.blend_utility, abs=1e-12)
+    u_blend = allocation_utility(inst, res.blend)
     u_lo = allocation_utility(inst, res.alloc_lo)
     u_hi = allocation_utility(inst, res.alloc_hi)
-    assert res.blend_utility >= min(u_lo, u_hi) - 1e-9
-    assert res.utility >= res.blend_utility - 1e-12  # candidate polish only helps
+    assert u_blend >= min(u_lo, u_hi) - 1e-9
+    assert res.utility >= u_blend - 1e-12  # candidate polish only helps
+    assert res.utility == pytest.approx(allocation_utility(inst, res.alloc),
+                                        abs=1e-12)
 
 
 def test_shrinking_kappa_improves_utility():
@@ -115,8 +116,10 @@ def test_power_feasibility_random_instances():
         assert not res.budget_slack
         assert abs(res.blend.total_power - inst.p_con) <= 1e-6 * inst.p_con
         assert abs(res.alloc.total_power - inst.p_con) <= 1e-6 * inst.p_con
-        check_allocation(res.blend)
-        check_allocation(res.alloc)
+        check_allocation(res.blend, discrete=res.degenerate_blend)
+        # a water-filled endpoint whenever it beats the blend
+        check_allocation(res.alloc, discrete=res.alloc is not res.blend
+                         or res.degenerate_blend)
         assert res.gap_bound >= 0.0
 
 
@@ -159,12 +162,12 @@ def screened_bisection(inst):
         ev = evaluate_mu(inst, mu, at_lo, at_hi)
         full = evaluate_mu(inst, mu)
         assert bits(ev.alloc_min) == bits(full.alloc_min)
-        assert ev.total_power_min == full.total_power_min
+        assert ev.alloc_min.total_power == full.alloc_min.total_power
         screened.append(at_lo is not None and at_hi is not None)
         return ev
 
     mu_min, mu_max = mu_bounds(inst)
-    _bisect_budget(evaluate, lambda ev: ev.total_power_min, inst.p_con,
+    _bisect_budget(evaluate, lambda ev: ev.alloc_min.total_power, inst.p_con,
                    mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -60)
     return screened
 

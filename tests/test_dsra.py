@@ -19,7 +19,7 @@ def test_fixed_allocation_single_combo():
     inst = single_combo_instance(p_con=1.0)
     ind = np.ones((1, 1, 1))
     fs = solve_fixed_allocation(inst, ind, kappa=1e-9)
-    assert fs.x.sum() == pytest.approx(1.0, abs=1e-6)
+    assert fs.alloc.total_power == pytest.approx(1.0, abs=1e-6)
     assert fs.utility == pytest.approx((1 - np.exp(-0.5)) * 2, abs=1e-6)
 
 
@@ -28,8 +28,9 @@ def test_fixed_allocation_symmetric_split():
     ind = np.zeros(inst.shape)
     ind[0, 0, 0] = ind[1, 0, 0] = 1.0
     fs = solve_fixed_allocation(inst, ind, kappa=1e-9)
-    assert fs.x[0, 0, 0] == pytest.approx(fs.x[1, 0, 0], abs=1e-9)
-    assert fs.x.sum() == pytest.approx(2.0, abs=1e-6)
+    x = fs.alloc.actual_power
+    assert x[0, 0, 0] == pytest.approx(x[1, 0, 0], abs=1e-9)
+    assert fs.alloc.total_power == pytest.approx(2.0, abs=1e-6)
 
 
 def test_fixed_allocation_budget_never_exceeded(rng):
@@ -40,7 +41,7 @@ def test_fixed_allocation_budget_never_exceeded(rng):
             if rng.random() < 0.8:
                 ind[n, rng.integers(2), rng.integers(2)] = 1.0
         fs = solve_fixed_allocation(inst, ind, kappa=1e-6)
-        assert fs.x.sum() <= inst.p_con * (1 + 1e-6)
+        assert fs.alloc.total_power <= inst.p_con * (1 + 1e-6)
 
 
 def test_fixed_allocation_kappa_below_float_spacing(monkeypatch):
@@ -61,13 +62,13 @@ def test_fixed_allocation_kappa_below_float_spacing(monkeypatch):
         power_roots=capped, expected_utilities=kernels.expected_utilities))
     fs = solve_fixed_allocation(inst, ind, kappa=1e-300)
     assert fs.mu_hi == np.nextafter(fs.mu_lo, np.inf)
-    assert fs.x.sum() == pytest.approx(inst.p_con, rel=1e-9)
+    assert fs.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
 
 
 def test_fixed_allocation_empty():
     inst = single_combo_instance(p_con=1.0)
     fs = solve_fixed_allocation(inst, np.zeros((1, 1, 1)), kappa=1e-3)
-    assert fs.x.sum() == 0.0
+    assert fs.alloc.total_power == 0.0
     assert fs.utility == 0.0
     assert fs.lagrangian == pytest.approx(-fs.mu_hi * inst.p_con)
 
@@ -75,13 +76,13 @@ def test_fixed_allocation_empty():
 def test_brute_force_hypothesis_counts():
     inst = single_combo_instance(p_con=1.0)
     res = brute_force_dsra(inst)
-    assert res.candidate_lagrangians.size == 2
+    assert res.lagrangians.size == 2
     assert res.utility > 0.0  # singleton beats the empty allocation
 
     inst2 = point_mass_instance([[1.0, 0.7], [1.3, 0.9]], p_con=4.0,
                                 mcs=McsTable.qam(2, 1))
     res2 = brute_force_dsra(inst2)
-    assert res2.candidate_lagrangians.size == (2 * 1 + 1) ** 2  # 9
+    assert res2.lagrangians.size == (2 * 1 + 1) ** 2  # 9
 
 
 def test_brute_force_cap():
@@ -139,7 +140,7 @@ def test_empty_upper_end():
     assert not csra.alloc_hi.indicator.any()
     dsra = solve_dsra(inst)
     assert not dsra.exact_from_continuous
-    assert dsra.candidate_lagrangians.size == 2
+    assert dsra.csra.fixed_lo is not dsra.csra.fixed_hi  # both ends ranked
     assert dsra.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
     assert dsra.utility <= csra.utility + 1e-9
 
@@ -261,8 +262,12 @@ def test_kappa_shrink_keeps_chosen_allocation():
     assert np.array_equal(d1.alloc.indicator, d2.alloc.indicator)
 
 
-def test_candidate_ranking_records_both_lagrangians():
+def test_candidate_ranking_picks_the_least_lagrangian():
     inst = make_tie_instance()
     dsra = solve_dsra(inst)
-    assert dsra.candidate_lagrangians.size == 2
-    assert dsra.lagrangian == pytest.approx(dsra.candidate_lagrangians.min())
+    assert not dsra.exact_from_continuous
+    ends = (dsra.csra.fixed_lo, dsra.csra.fixed_hi)
+    assert ends[0].lagrangian != ends[1].lagrangian
+    best = min(ends, key=lambda fs: fs.lagrangian)
+    assert dsra.alloc is best.alloc
+    assert dsra.utility == best.utility

@@ -18,7 +18,7 @@ LN4 = 2 * np.log(2.0)
 
 def total_power(inst, mu):
     """X*(mu) under the min-power tie rule."""
-    return evaluate_mu(inst, mu).total_power_min
+    return evaluate_mu(inst, mu).alloc_min.total_power
 
 
 def winner_sets(inst, mu):
@@ -248,15 +248,15 @@ def test_indicator_cost_convexity(rng):
 def test_allocation_state_validation():
     ind = np.zeros((1, 1, 1))
     x = np.zeros((1, 1, 1))
-    check_allocation(AllocationState(ind, x, discrete=True))
+    check_allocation(AllocationState(ind, x), discrete=True)
     with pytest.raises(ValueError):
         check_allocation(AllocationState(np.full((1, 1, 1), 2.0), x))
     with pytest.raises(ValueError):  # x without I
         check_allocation(AllocationState(ind, np.full((1, 1, 1), 1.0)))
-    bad = AllocationState(np.full((1, 1, 1), 0.5), np.full((1, 1, 1), 0.5),
-                          discrete=True)
+    half = AllocationState(np.full((1, 1, 1), 0.5), np.full((1, 1, 1), 0.5))
+    check_allocation(half)
     with pytest.raises(ValueError):
-        check_allocation(bad)
+        check_allocation(half, discrete=True)
     with pytest.raises(ValueError):
         AllocationState(np.zeros((2, 2)), np.zeros((2, 2)))
 

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdma_sra import kernels
@@ -297,8 +297,17 @@ def kernel_case(draw):
     return rows, mu
 
 
+# capacity-log rows at a = b = r = 1 with roots near 1/mu = 1.7e297: the
+# slope underflows to 0 from p ~ 1e154 on, and doubling from there takes
+# more than ROOT_MAX_ITER steps
+_FAR_ROOTS = ((np.array([[1000.0]] + [[1.0]] * 7), np.ones((8, 1)),
+               np.ones(8), np.ones(8), np.array([0.6] + [1.0] * 7), 3,
+               np.ones(8)), 6e-298)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(kernel_case())
+@example(_FAR_ROOTS)
 def test_roots_property(case):
     rows, mu = case
     # mu = mu_min = 0 when some marginal at P_con underflows; roots of rows

@@ -14,7 +14,7 @@ def test_grid_oracle_single_combo_matches_waterfill():
     ind = np.ones((1, 1, 1))
     powers, util = grid_power_oracle(inst, ind, grid_points=500)
     fs = solve_fixed_allocation(inst, ind, kappa=1e-9)
-    assert abs(powers.sum() - fs.x.sum()) <= inst.p_con / 500 + 1e-8
+    assert abs(powers.sum() - fs.alloc.total_power) <= inst.p_con / 500 + 1e-8
     # the water-fill power carries the root-find's 1e-9 relative tolerance
     assert util <= fs.utility + 1e-8
     assert util >= fs.utility - 2 * inst.p_con / 500  # grid slack
