@@ -80,7 +80,8 @@ def main(argv=None) -> int:
             diff = differences(*runs)
             print(f"{config.name}: "
                   + (f"differs in {', '.join(diff)}" if diff else "same"))
-            status = max(status, 1 if diff else 0)
+            if diff:
+                status = 1
     return status
 
 

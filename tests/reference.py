@@ -217,7 +217,7 @@ def traced_subgradient(inst, n_updates, scale=1.0):
         alloc = baselines.subgradient_baseline(inst, n_updates, scale)
     finally:
         baselines.evaluate_mu = evaluate
-    mus, totals = np.array(steps).reshape(-1, 2).T
+    mus, totals = np.array(steps).T
     return alloc, mus, totals
 
 
