@@ -56,6 +56,8 @@ def subgradient_baseline(inst: ProblemInstance, n_updates: int,
     """
     if n_updates < 1:
         raise ValueError("need at least one update")
+    if not 0.0 < scale < np.inf:
+        raise ValueError("step scale must be finite and positive")
     mu_min, mu_max = mu_bounds(inst)
     mu = 0.5 * (mu_min + mu_max)
     for i in range(1, n_updates + 1):

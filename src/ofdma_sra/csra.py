@@ -28,8 +28,9 @@ water-filled to their fixed-allocation optima (one bisection over at most N
 active combinations each) into ``fixed_lo`` and ``fixed_hi``.  The best
 feasible of the blend and those water-fillings is returned; this never
 weakens the certificate -- every candidate is feasible and meets the budget
--- and the discrete solver, which only ranks ``fixed_lo`` and ``fixed_hi``,
-can never report a utility above the continuous one.
+-- and the discrete solver, which keeps the one of ``fixed_lo`` and
+``fixed_hi`` of higher utility, can never report more than the continuous
+one.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     """Bisection solve of the subchannel-sharing problem to bracket width kappa."""
     if kappa is None:
         kappa = default_kappa(inst.p_con)
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("bracket width must be positive")
 
     mu_min, mu_max = mu_bounds(inst)

@@ -6,11 +6,10 @@ indicators, each needing its own water-filling.
 The practical path rides on the continuous solver: its bracket-endpoint
 allocations are already discrete, and it hands over their water-fillings
 (``fixed_lo`` and ``fixed_hi``).  This module only ranks them, keeping the
-one with the smaller fixed-allocation Lagrangian.  Whenever the continuous
+one of higher utility (the lower end on a tie).  Whenever the continuous
 blend itself lies in the discrete domain (or the budget does not bind) the
-blend's own end is the only candidate and the discrete problem is solved
-exactly (given the budget attained there); otherwise the utility shortfall
-is bounded by
+discrete problem is solved exactly (given the budget attained there);
+otherwise the utility shortfall is bounded by
 
     (mu* - mu_min) * (P_con - X_min(mu*)),
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csra import CsraResult, solve_csra
+from .csra import CsraResult
 from .dual import AllocationState, ProblemInstance, _tie_mask, evaluate_mu
 
 
@@ -69,18 +68,10 @@ def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
     return float(min(max(raw, 0.0), cap))
 
 
-def solve_dsra(inst: ProblemInstance, kappa: float | None = None,
-               csra_result: CsraResult | None = None) -> DsraResult:
-    """Rank the continuous solver's endpoint water-fillings."""
-    res = solve_csra(inst, kappa) if csra_result is None else csra_result
-    exact = res.degenerate_blend  # also whenever the budget is slack
-    if exact:
-        cands = [res.fixed_hi if res.lam == 1.0 else res.fixed_lo]
-    else:
-        cands = [res.fixed_lo, res.fixed_hi]
-    # least Lagrangian, then most utility, then the lower end
-    best = min(cands, key=lambda fs: (fs.lagrangian, -fs.utility))
+def solve_dsra(inst: ProblemInstance, csra: CsraResult) -> DsraResult:
+    """Keep the continuous solve's endpoint water-filling of higher utility."""
+    best = max(csra.fixed_lo, csra.fixed_hi, key=lambda fs: fs.utility)
     return DsraResult(
         alloc=best.alloc, utility=best.utility,
-        gap_bound=dsra_gap_bound(inst, res), exact_from_continuous=exact,
-        csra=res)
+        gap_bound=dsra_gap_bound(inst, csra),
+        exact_from_continuous=csra.degenerate_blend, csra=csra)

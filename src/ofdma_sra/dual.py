@@ -257,8 +257,8 @@ def evaluate_mu(inst: ProblemInstance, mu: float,
     Expected utilities are computed where p* > 0 and taken from a
     per-instance E U(0) cache elsewhere (``_expected_at_roots``).
     """
-    if not np.isfinite(mu):
-        raise ValueError("multiplier must be finite")
+    if not 0.0 <= mu < np.inf:
+        raise ValueError("multiplier must be finite and nonnegative")
     rows = (slice(None) if at_lo is None or at_hi is None
             else _survivors(inst, mu, at_lo, at_hi))
     p = get_kernels().power_roots(*_rows(inst, rows), float(mu),

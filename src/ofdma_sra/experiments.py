@@ -45,8 +45,7 @@ from . import __version__
 from .baselines import fp_rus_baseline, subgradient_baseline
 from .csra import solve_csra
 from .dsra import solve_dsra
-from .dual import (AllocationState, ProblemInstance, allocation_goodput,
-                   allocation_utility)
+from .dual import ProblemInstance, allocation_goodput, allocation_utility
 from .snr import (ChannelConfig, SnrDistribution, conditional_snr_dist,
                   draw_channel, mmse_estimate)
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
@@ -366,58 +365,52 @@ def build_trial_instances(cfg: ScenarioConfig, seed: int) -> dict:
     }
 
 
-def _metrics(inst: ProblemInstance, alloc: AllocationState) -> tuple[float, float]:
-    goodput = allocation_goodput(inst, alloc) / inst.n_subchannels
-    return goodput, allocation_utility(inst, alloc)
-
-
 def run_trial(cfg: ScenarioConfig, sweep_index: int, trial: int) -> list[TrialRecord]:
-    """All scheme records for one (sweep value, trial) cell."""
+    """All scheme records for one (sweep value, trial) cell.
+
+    CSRA-ICSI and DSRA-ICSI share one continuous solve of the ICSI instance,
+    made by whichever of them comes first.
+    """
     value = cfg.sweep_values[sweep_index]
     swept = cfg.at_sweep_value(value)
     seed = trial_seed(cfg.seed, sweep_index, trial)
     parts = build_trial_instances(swept, seed)
-    kappa = swept.kappa
-    records = []
-
-    def record(scheme, goodput, utility, gap=None, mu_lo=None, mu_hi=None,
-               iters=0, dt=0.0):
-        records.append(TrialRecord(
-            sweep_var=cfg.sweep_variable, sweep_value=value, trial=trial,
-            scheme=scheme, goodput_per_subchannel=goodput, utility=utility,
-            gap_bound_per_subchannel=gap, mu_lo=mu_lo, mu_hi=mu_hi,
-            iters=iters, runtime_ms=dt * 1e3))
-
     csra_icsi = None
+    records = []
     for scheme in swept.schemes:
         t0 = time.perf_counter()
+        res, gap, iters = None, None, 0
         if scheme == "CSRA-PCSI":
-            res = solve_csra(parts["pcsi"], kappa)
-            g, u = _metrics(parts["pcsi"], res.alloc)
-            record(scheme, g, u, mu_lo=res.mu_lo, mu_hi=res.mu_hi,
-                   iters=res.iterations, dt=time.perf_counter() - t0)
-        elif scheme == "CSRA-ICSI":
-            csra_icsi = solve_csra(parts["icsi"], kappa)
-            g, u = _metrics(parts["icsi"], csra_icsi.alloc)
-            record(scheme, g, u, mu_lo=csra_icsi.mu_lo, mu_hi=csra_icsi.mu_hi,
-                   iters=csra_icsi.iterations, dt=time.perf_counter() - t0)
-        elif scheme == "DSRA-ICSI":
-            res = solve_dsra(parts["icsi"], kappa, csra_result=csra_icsi)
-            g, u = _metrics(parts["icsi"], res.alloc)
-            record(scheme, g, u,
-                   gap=res.gap_bound / parts["icsi"].n_subchannels,
-                   mu_lo=res.csra.mu_lo, mu_hi=res.csra.mu_hi,
-                   iters=res.csra.iterations, dt=time.perf_counter() - t0)
+            inst = parts["pcsi"]
+            res = solve_csra(inst, swept.kappa)
+            alloc = res.alloc
+        elif scheme in ("CSRA-ICSI", "DSRA-ICSI"):
+            inst = parts["icsi"]
+            if csra_icsi is None:
+                csra_icsi = solve_csra(inst, swept.kappa)
+            res, alloc = csra_icsi, csra_icsi.alloc
+            if scheme == "DSRA-ICSI":
+                dsra = solve_dsra(inst, res)
+                alloc, gap = dsra.alloc, dsra.gap_bound / inst.n_subchannels
         elif scheme == "FP-RUS":
-            g, u = _metrics(parts["prior"], fp_rus_baseline(parts["prior"], seed))
-            record(scheme, g, u, dt=time.perf_counter() - t0)
-        elif scheme == "SUBGRAD-ICSI":
-            alloc = subgradient_baseline(parts["icsi"],
-                                         swept.subgradient_updates,
+            inst = parts["prior"]
+            alloc = fp_rus_baseline(inst, seed)
+        else:  # SUBGRAD-ICSI
+            inst = parts["icsi"]
+            alloc = subgradient_baseline(inst, swept.subgradient_updates,
                                          swept.subgradient_scale)
-            g, u = _metrics(parts["icsi"], alloc)
-            record(scheme, g, u, iters=swept.subgradient_updates,
-                   dt=time.perf_counter() - t0)
+            iters = swept.subgradient_updates
+        records.append(TrialRecord(
+            sweep_var=cfg.sweep_variable, sweep_value=value, trial=trial,
+            scheme=scheme,
+            goodput_per_subchannel=(allocation_goodput(inst, alloc)
+                                    / inst.n_subchannels),
+            utility=allocation_utility(inst, alloc),
+            gap_bound_per_subchannel=gap,
+            mu_lo=None if res is None else res.mu_lo,
+            mu_hi=None if res is None else res.mu_hi,
+            iters=iters if res is None else res.iterations,
+            runtime_ms=(time.perf_counter() - t0) * 1e3))
     return records
 
 
@@ -443,19 +436,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir, threads: int = 1) -> dict:
     records = [r for chunk in chunks for r in chunk]
 
     trials_path = out / "trials.csv"
-    with trials_path.open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(TRIALS_COLUMNS)
-        for r in records:
-            wr.writerow([_fmt(getattr(r, c)) for c in TRIALS_COLUMNS])
-
+    _write_csv(trials_path, TRIALS_COLUMNS, map(vars, records))
     summary = summarize(records)
     summary_path = out / "summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(SUMMARY_COLUMNS)
-        for row in summary:
-            wr.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+    _write_csv(summary_path, SUMMARY_COLUMNS, summary)
 
     canonical = json.dumps(cfg.to_dict(), sort_keys=True)
     manifest = {
@@ -500,6 +484,14 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
                 float(np.nanmean(gaps)) if not np.all(np.isnan(gaps)) else None),
         })
     return rows
+
+
+def _write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
+    """A header of the columns, then each row (a dict) in column order."""
+    with path.open("w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(columns)
+        wr.writerows([_fmt(row[c]) for c in columns] for row in rows)
 
 
 def _fmt(v) -> str:

@@ -26,7 +26,6 @@ class FixedAllocationSolve:
     alloc: AllocationState  # the indicator and blended powers, sum == budget
     mu_lo: float
     mu_hi: float
-    lagrangian: float       # dual value at mu_hi: -sum E{U} + (X - P_con)*mu_hi
     utility: float          # sum of expected utilities at the blended powers
     iterations: int
 
@@ -34,7 +33,7 @@ class FixedAllocationSolve:
 def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
                            kappa: float) -> FixedAllocationSolve:
     """Bisection on the multiplier for the powers of one fixed allocation."""
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("bracket width must be positive")
     indicator = np.asarray(indicator, dtype=float)
     if indicator.shape != inst.shape:
@@ -53,19 +52,14 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
         return get_kernels().power_roots(*packed, mu, *zero)
 
     br = _bisect_budget(roots, np.sum, inst.p_con, mu_min, mu_max, kappa)
-    p_lo, p_hi = br.at_lo, br.at_hi
-    p_blend = br.lam * p_hi + (1.0 - br.lam) * p_lo
-
-    lagrangian = float(-get_kernels().expected_utilities(*packed, p_hi).sum()
-                       + (p_hi.sum() - inst.p_con) * br.hi)
+    p_blend = br.lam * br.at_hi + (1.0 - br.lam) * br.at_lo
     utility = float(get_kernels().expected_utilities(*packed, p_blend).sum())
 
     x = np.zeros(inst.shape)
     x.ravel()[active] = p_blend
     return FixedAllocationSolve(
         alloc=AllocationState(indicator.copy(), x), mu_lo=float(br.lo),
-        mu_hi=float(br.hi), lagrangian=lagrangian, utility=utility,
-        iterations=len(br.mids))
+        mu_hi=float(br.hi), utility=utility, iterations=len(br.mids))
 
 
 def refinement_kappa(mu_min: float, mu_max: float, kappa: float) -> float:

@@ -77,11 +77,11 @@ def indicators(inst, max_hypotheses=BRUTE_FORCE_CAP):
 
 @dataclass
 class BruteForce:
-    """The exhaustive discrete optimum and every hypothesis's Lagrangian."""
+    """The exhaustive discrete optimum and every hypothesis's utility."""
 
     alloc: AllocationState
     utility: float
-    lagrangians: np.ndarray  # one per indicator, in ``indicators`` order
+    utilities: np.ndarray  # one per indicator, in ``indicators`` order
 
 
 def brute_force_dsra(inst, kappa=None, max_hypotheses=BRUTE_FORCE_CAP):
@@ -96,7 +96,7 @@ def brute_force_dsra(inst, kappa=None, max_hypotheses=BRUTE_FORCE_CAP):
               for ind in indicators(inst, max_hypotheses)]
     best = max(solves, key=lambda fs: fs.utility)
     return BruteForce(alloc=best.alloc, utility=best.utility,
-                      lagrangians=np.array([fs.lagrangian for fs in solves]))
+                      utilities=np.array([fs.utility for fs in solves]))
 
 
 def exhaustive_lagrangian_min(inst, mu, max_hypotheses=BRUTE_FORCE_CAP):

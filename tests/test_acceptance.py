@@ -109,7 +109,7 @@ def test_criterion_02_dsra_gap_certificate():
     t0 = time.perf_counter()
     for inst in small_instances():
         kappa = default_kappa(inst.p_con)
-        dsra = solve_dsra(inst, kappa)
+        dsra = solve_dsra(inst, solve_csra(inst, kappa))
         brute = brute_force_dsra(inst, kappa)
         gap = brute.utility - dsra.utility
         assert gap >= -1e-12
@@ -124,7 +124,7 @@ def test_criterion_02_dsra_gap_certificate():
         csra = solve_csra(inst)
         if not csra.degenerate_blend or dsra_gap_bound(inst, csra) != 0.0:
             continue
-        dsra = solve_dsra(inst, csra_result=csra)
+        dsra = solve_dsra(inst, csra)
         brute = brute_force_dsra(inst)
         assert brute.utility - dsra.utility <= 1e-6
         checked += 1

@@ -56,6 +56,9 @@ def test_subgradient_trace_shape_and_projection():
     assert np.all(mus >= lo - 1e-15)
     with pytest.raises(ValueError):
         subgradient_baseline(inst, 0)
+    for scale in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="step scale"):
+            subgradient_baseline(inst, 3, scale)
 
 
 def test_subgradient_step_law():

@@ -132,8 +132,9 @@ def test_gap_bound_value():
 
 def test_invalid_kappa():
     inst = single_combo_instance()
-    with pytest.raises(ValueError):
-        solve_csra(inst, kappa=0.0)
+    for kappa in (0.0, np.nan):
+        with pytest.raises(ValueError, match="bracket width"):
+            solve_csra(inst, kappa=kappa)
 
 
 # -- screening: survivors only once both bracket ends exist ---------------------

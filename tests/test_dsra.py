@@ -1,5 +1,6 @@
 """Discrete solver: fixed-allocation water-filling, brute force, certificates."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,19 +71,25 @@ def test_fixed_allocation_empty():
     fs = solve_fixed_allocation(inst, np.zeros((1, 1, 1)), kappa=1e-3)
     assert fs.alloc.total_power == 0.0
     assert fs.utility == 0.0
-    assert fs.lagrangian == pytest.approx(-fs.mu_hi * inst.p_con)
+
+
+def test_fixed_allocation_invalid_kappa():
+    inst = single_combo_instance()
+    for kappa in (0.0, np.nan):
+        with pytest.raises(ValueError, match="bracket width"):
+            solve_fixed_allocation(inst, np.ones((1, 1, 1)), kappa=kappa)
 
 
 def test_brute_force_hypothesis_counts():
     inst = single_combo_instance(p_con=1.0)
     res = brute_force_dsra(inst)
-    assert res.lagrangians.size == 2
+    assert res.utilities.size == 2
     assert res.utility > 0.0  # singleton beats the empty allocation
 
     inst2 = point_mass_instance([[1.0, 0.7], [1.3, 0.9]], p_con=4.0,
                                 mcs=McsTable.qam(2, 1))
     res2 = brute_force_dsra(inst2)
-    assert res2.lagrangians.size == (2 * 1 + 1) ** 2  # 9
+    assert res2.utilities.size == (2 * 1 + 1) ** 2  # 9
 
 
 def test_brute_force_cap():
@@ -97,7 +104,7 @@ def test_sandwich_on_random_point_mass_instances():
         gammas = rng.uniform(0.3, 3.0, size=(2, 2))
         inst = point_mass_instance(gammas, p_con=4.0)
         kappa = default_kappa(inst.p_con)
-        dsra = solve_dsra(inst, kappa)
+        dsra = solve_dsra(inst, solve_csra(inst, kappa))
         brute = brute_force_dsra(inst, kappa)
         assert brute.utility - dsra.utility >= -1e-12
         assert brute.utility - dsra.utility <= dsra.gap_bound + kappa * inst.p_con
@@ -121,7 +128,7 @@ def test_sandwich_property_small_budgets(inst):
     # bisection step, and the upper end is mu_max with nothing allocated
     kappa = default_kappa(inst.p_con)
     csra = solve_csra(inst, kappa)
-    dsra = solve_dsra(inst, csra_result=csra)
+    dsra = solve_dsra(inst, csra)
     brute = brute_force_dsra(inst, kappa)
     assert brute.utility - dsra.utility >= -1e-12
     assert brute.utility - dsra.utility <= dsra.gap_bound + kappa * inst.p_con
@@ -138,7 +145,7 @@ def test_empty_upper_end():
     csra = solve_csra(inst)
     assert csra.iterations == 0 and 0.0 < csra.lam < 1.0
     assert not csra.alloc_hi.indicator.any()
-    dsra = solve_dsra(inst)
+    dsra = solve_dsra(inst, csra)
     assert not dsra.exact_from_continuous
     assert dsra.csra.fixed_lo is not dsra.csra.fixed_hi  # both ends ranked
     assert dsra.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
@@ -157,7 +164,7 @@ def test_budget_slack_collapses_the_bracket():
     assert csra.budget_slack
     assert csra.mu_lo == csra.mu_hi == csra.mu_min
     assert csra.iterations == 0
-    dsra = solve_dsra(inst, csra_result=csra)
+    dsra = solve_dsra(inst, csra)
     assert dsra.exact_from_continuous
     assert dsra.utility <= csra.utility
     assert csra.alloc.total_power <= inst.p_con
@@ -168,7 +175,7 @@ def test_no_tie_instance_matches_csra():
     # generic asymmetric point masses: bracket endpoints agree, solve exact
     inst = point_mass_instance([[0.4, 1.9], [2.6, 0.8]], p_con=4.0)
     csra = solve_csra(inst)
-    dsra = solve_dsra(inst, csra_result=csra)
+    dsra = solve_dsra(inst, csra)
     assert csra.degenerate_blend
     assert dsra.exact_from_continuous
     assert abs(dsra.utility - csra.utility) <= 1e-6
@@ -210,7 +217,7 @@ def test_tie_instance_certificates():
     csra = solve_csra(inst, kappa)
     assert not csra.degenerate_blend  # the budget sits inside the jump
     assert 0.0 < csra.lam < 1.0
-    dsra = solve_dsra(inst, kappa, csra_result=csra)
+    dsra = solve_dsra(inst, csra)
     assert not dsra.exact_from_continuous
     assert dsra.gap_bound > 0.0
     assert dsra.utility <= csra.utility + 1e-9
@@ -226,7 +233,7 @@ def test_domination_over_random_batch():
         gammas = rng.uniform(0.2, 3.0, size=(3, 2))
         inst = point_mass_instance(gammas, p_con=6.0)
         csra = solve_csra(inst)
-        dsra = solve_dsra(inst, csra_result=csra)
+        dsra = solve_dsra(inst, csra)
         assert dsra.utility <= csra.utility + 1e-9
 
 
@@ -242,7 +249,7 @@ def test_gap_bound_cap_does_not_scale_with_size():
     for inst in (base, wide, tall):
         lo, hi = mu_bounds(inst)
         caps.append((hi - lo) * inst.p_con)
-        res = solve_dsra(inst)
+        res = solve_dsra(inst, solve_csra(inst))
         assert res.gap_bound <= caps[-1] + 1e-12
     assert caps[0] == pytest.approx(caps[1], rel=1e-12)
     assert caps[0] == pytest.approx(caps[2], rel=1e-12)
@@ -257,17 +264,27 @@ def test_gap_bound_zero_without_ties():
 def test_kappa_shrink_keeps_chosen_allocation():
     inst = point_mass_instance([[0.4, 1.9], [2.6, 0.8]], p_con=4.0)
     k0 = default_kappa(inst.p_con)
-    d1 = solve_dsra(inst, k0)
-    d2 = solve_dsra(inst, k0 / 10)
+    d1 = solve_dsra(inst, solve_csra(inst, k0))
+    d2 = solve_dsra(inst, solve_csra(inst, k0 / 10))
     assert np.array_equal(d1.alloc.indicator, d2.alloc.indicator)
 
 
-def test_candidate_ranking_picks_the_least_lagrangian():
+def test_candidate_ranking_picks_the_higher_utility():
     inst = make_tie_instance()
-    dsra = solve_dsra(inst)
+    dsra = solve_dsra(inst, solve_csra(inst))
     assert not dsra.exact_from_continuous
     ends = (dsra.csra.fixed_lo, dsra.csra.fixed_hi)
-    assert ends[0].lagrangian != ends[1].lagrangian
-    best = min(ends, key=lambda fs: fs.lagrangian)
+    assert ends[0].utility != ends[1].utility
+    best = max(ends, key=lambda fs: fs.utility)
     assert dsra.alloc is best.alloc
     assert dsra.utility == best.utility
+
+
+def test_candidate_ranking_keeps_the_lower_end_on_a_tie():
+    inst = make_tie_instance()
+    csra = solve_csra(inst)
+    lo = csra.fixed_lo
+    twin = replace(lo, alloc=replace(lo.alloc))  # a distinct end, same utility
+    for ends in ((lo, twin), (twin, lo)):
+        tied = replace(csra, fixed_lo=ends[0], fixed_hi=ends[1])
+        assert solve_dsra(inst, tied).alloc is ends[0].alloc

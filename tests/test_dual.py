@@ -37,8 +37,10 @@ def test_power_root_closed_form():
     assert root(0.5) == pytest.approx(LN4, rel=1e-8)
     assert root(1.0) == 0.0    # threshold a b r E{gamma}
     assert root(1.5) == 0.0
-    with pytest.raises(ValueError):
-        evaluate_mu(inst, np.nan)
+    assert evaluate_mu(inst, 0.0).alloc_min.total_power > 0.0
+    for mu in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="multiplier"):
+            evaluate_mu(inst, mu)
 
 
 def test_power_root_matches_closed_form_on_grid(rng):

@@ -6,12 +6,15 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdma_sra import ChannelConfig, ConfigError, ScenarioConfig, run_trial
+from ofdma_sra import (ChannelConfig, ConfigError, ScenarioConfig, run_trial,
+                       solve_csra, solve_dsra)
+from ofdma_sra import experiments
 from ofdma_sra.cli import main as cli_main
 from ofdma_sra.experiments import (SUMMARY_COLUMNS, TRIALS_COLUMNS,
                                    run_scenario, trial_seed)
@@ -242,6 +245,34 @@ def test_per_trial_invariants():
             assert r.goodput_per_subchannel >= 0.0
         assert recs["DSRA-ICSI"].gap_bound_per_subchannel >= 0.0
         assert recs["CSRA-ICSI"].mu_lo <= recs["CSRA-ICSI"].mu_hi
+
+
+def test_icsi_schemes_share_one_continuous_solve(monkeypatch):
+    # DSRA-ICSI comes first: it makes the ICSI solve that CSRA-ICSI reuses
+    solved, ranked = [], []
+
+    def counted_csra(inst, kappa=None):
+        solved.append((inst, solve_csra(inst, kappa)))
+        return solved[-1][1]
+
+    def recorded_dsra(inst, *args, **kwargs):
+        ranked.append(args)
+        return solve_dsra(inst, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_csra", counted_csra)
+    monkeypatch.setattr(experiments, "solve_dsra", recorded_dsra)
+    cfg = replace(TINY, schemes=("DSRA-ICSI", "CSRA-ICSI"))
+    dsra, csra = run_trial(cfg, 0, 0)
+    icsi = experiments.build_trial_instances(
+        cfg.at_sweep_value(cfg.sweep_values[0]),
+        trial_seed(cfg.seed, 0, 0))["icsi"]
+    assert len(solved) == 1
+    inst, res = solved[0]
+    assert np.array_equal(inst.dists.values, icsi.dists.values)
+    assert len(ranked) == 1 and ranked[0][0] is res
+    assert (dsra.scheme, csra.scheme) == cfg.schemes
+    for name in ("mu_lo", "mu_hi", "iters"):
+        assert getattr(dsra, name) == getattr(csra, name)
 
 
 def test_desk_trial_with_empty_upper_end():

@@ -1,5 +1,6 @@
 """scripts/same_outputs.py: the output gate between two checkouts."""
 
+import csv
 import importlib.util
 import json
 import shutil
@@ -32,6 +33,30 @@ def test_this_checkout_against_itself(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "tiny.json: same\n"
+
+
+def test_schemes_flag_is_passed_to_the_runs(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    out = tmp_path / "run"
+    proc = load_script().start_run(ROOT, cfg, out, "FP-RUS,DSRA-ICSI")
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 0, err
+    with (out / "trials.csv").open(newline="") as fh:
+        schemes = {row["scheme"] for row in csv.DictReader(fh)}
+    assert schemes == {"FP-RUS", "DSRA-ICSI"}
+
+    def script(schemes):
+        return subprocess.run(
+            [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), str(cfg),
+             "--schemes", schemes], capture_output=True, text=True, timeout=120)
+
+    proc = script("DSRA-ICSI,CSRA-ICSI")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "tiny.json: same\n"
+    proc = script("NO-SUCH-SCHEME")
+    assert proc.returncode == 2
+    assert "unknown scheme 'NO-SUCH-SCHEME'" in proc.stderr
 
 
 def set_cell(column, value):
