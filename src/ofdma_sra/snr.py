@@ -14,7 +14,12 @@ Z ~ CN(hhat, sigma_e^2), a (scaled) non-central chi-squared with two
 degrees of freedom.  All of those conditional laws are reduced to weighted
 atoms, one ``SnrDistribution`` batch for a whole (N, K) grid, which makes
 every expectation downstream a finite sum and the whole solve deterministic.
-The atoms call ``scipy.special`` directly, not ``scipy.stats.ncx2``.
+Each atom is the exact conditional mean of one bin of the law, weighted by
+the bin's exact mass, with bin edges near the law's quantiles at i/n; the
+edges of a non-central law come from a closed-form approximation and a few
+Newton steps on its CDF, not from a quantile function
+(``conditional_snr_dist``).  The atoms call ``scipy.special`` directly, not
+``scipy.stats``.
 
 Seeding: every randomized operation takes one integer ``seed`` and derives
 an internal stream with ``np.random.SeedSequence(seed, spawn_key=(k,))``,
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chndtr, chndtrix, gammaincinv
+from scipy.special import chdtr, chndtr, gammaincinv, i0e, i1e, ndtri
 
 STREAM_CHANNEL = 0
 STREAM_PILOT = 1
@@ -36,6 +41,8 @@ STREAM_SCHEDULER = 2
 
 DEFAULT_N_ATOMS = 64
 NC_COLLAPSE_THRESHOLD = 1e8  # noncentrality above which the law is a spike
+EDGE_TOL = 1e-6  # a bin edge's CDF may miss its level by EDGE_TOL / n_atoms
+NEWTON_STEPS = 4  # at most, per edge
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -207,25 +214,86 @@ def _law_sums(laws: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _sankaran_edges(probs, nc):
+    """Sankaran's closed-form quantiles of the df=2 non-central chi-squared
+    (Biometrika 46, 1959): ((X/(2+nc))^h - mu)/sd is near standard normal."""
+    h = 1.0 - (2.0 / 3.0) * (2.0 + nc) * (2.0 + 3.0 * nc) / (2.0 + 2.0 * nc) ** 2
+    p = (2.0 + 2.0 * nc) / (2.0 + nc) ** 2
+    m = (h - 1.0) * (1.0 - 3.0 * h)
+    mu = 1.0 + h * p * (h - 1.0 - (1.0 - 0.5 * h) * m * p)
+    sd = h * np.sqrt(2.0 * p) * (1.0 + 0.5 * m * p)
+    # the normal's lower tail reaches below zero past ~n = 260 atoms
+    return (2.0 + nc) * np.maximum(mu + sd * ndtri(probs), 0.0) ** (1.0 / h)
+
+
+def _half_density(x, nc):
+    """exp(-(sqrt x - sqrt nc)^2 / 2) / 2 and z = sqrt(nc x): the df=2
+    non-central chi-squared density at x is that times i0e(z)."""
+    return 0.5 * np.exp(-0.5 * (np.sqrt(x) - np.sqrt(nc)) ** 2), np.sqrt(nc * x)
+
+
+def _noncentral_edges(probs, nc):
+    """Edges near the df=2 quantiles at probs (interior levels, ascending) of
+    each law nc (laws, 1), and the CDF ``chndtr`` gives at them.
+
+    Safeguarded Newton from Sankaran's edges: an edge steps while its CDF
+    is more than EDGE_TOL / n off its level, at most NEWTON_STEPS times; a
+    step that leaves the edge's bracket bisects it, or moves to
+    2 x + 2 + nc while the bracket has no upper end.  From Sankaran's edges
+    every edge met the tolerance within 3 steps up to 1024 atoms, and 4 up
+    to 8192.  Edges within the tolerance of levels 1/n apart are strictly
+    increasing.
+    """
+    x = _sankaran_edges(probs, nc)
+    cdf = chndtr(x, 2.0, nc)
+    levels = np.broadcast_to(probs, x.shape)
+    nc = np.broadcast_to(nc, x.shape)
+    lo, hi = np.zeros_like(x), np.full_like(x, np.inf)
+    tol = EDGE_TOL / (probs.size + 1)
+    for _ in range(NEWTON_STEPS):
+        step = np.abs(cdf - levels) > tol
+        if not step.any():
+            break
+        xs, ncs = x[step], nc[step]
+        err = cdf[step] - levels[step]
+        lo[step] = l = np.where(err < 0.0, xs, lo[step])
+        hi[step] = h = np.where(err > 0.0, xs, hi[step])
+        e, z = _half_density(xs, ncs)
+        new = xs - err / (e * i0e(z))
+        inside = (new > l) & (new < h)
+        x[step] = xs = np.where(inside, new, np.where(
+            np.isinf(h), 2.0 * l + 2.0 + ncs, 0.5 * (l + h)))
+        cdf[step] = chndtr(xs, 2.0, ncs)
+    return x, cdf
+
+
 def conditional_snr_dist(hhat, est_error_var: float,
                          n_atoms: int = DEFAULT_N_ATOMS) -> SnrDistribution:
     """Discretize the law of |Z|^2, Z ~ CN(hhat, sigma_e^2) into atoms, for
     each entry of hhat: the batch has hhat's shape.
 
-    Equiprobable quantile bins: [0,1] is split into ``n_atoms`` bins of mass
-    1/n_atoms and each bin contributes one atom at its conditional mean.  In
-    chi-squared units (gamma = (sigma_e^2/2) X with X non-central chi-squared,
-    df=2, nc=2|hhat|^2/sigma_e^2) the bin means follow from the identity
-    x f_{2,nc}(x) = 2 f_{4,nc}(x) + nc f_{6,nc}(x), so each conditional mean
-    is an exact CDF difference rather than a quadrature.  The atom mean is
-    |hhat|^2 + sigma_e^2 by construction.
+    Each law is cut into ``n_atoms`` bins and each bin contributes one atom
+    at its exact conditional mean, weighted by its exact mass, so the atom
+    mean is |hhat|^2 + sigma_e^2.  In chi-squared units gamma =
+    (sigma_e^2/2) X, with X non-central chi-squared, df=2,
+    nc=2|hhat|^2/sigma_e^2.
 
-    All laws come from one quantile call (``chndtrix``) and three CDF calls
-    (``chndtr``) on a (laws, n_atoms + 1) grid; a central law (nc = 0) takes
-    the chi-squared ``gammaincinv`` and ``chdtr`` instead.  That is the split
-    ``scipy.stats.ncx2`` makes, and the atoms have its bits.  A spike law is
-    atom 0 with weight 1 and zero padding; a batch of point masses only has
-    one atom per law.
+    A non-central law's bin edges are near its quantiles at i/n_atoms:
+    Sankaran's closed-form edges, then safeguarded Newton steps on the df=2
+    CDF F (``chndtr``) for the edges more than EDGE_TOL/n_atoms off their
+    level.  The weights are the bins' masses dF from the last ``chndtr`` at
+    each edge.  The bin means need no other CDF: from x f_{2,nc} =
+    2 f_{4,nc} + nc f_{6,nc}, F_{k+2} = F_k - 2 f_{k+2} and
+    I_2(z) = I_0(z) - 2 I_1(z)/z, a bin's first moment is
+    (2+nc) dF - 2 d[e (z i1e(z) + x i0e(z))], with z = sqrt(nc x) and
+    e = exp(-(sqrt x - sqrt nc)^2/2)/2.
+
+    A central law (nc = 0: the prior, or no pilot; also a subnormal nc)
+    keeps equiprobable bins, weights 1/n_atoms, from the chi-squared
+    ``gammaincinv`` and ``chdtr``: the bits of ``scipy.stats.ncx2``.
+    A bin without mass falls back to the law's mean, with no weight on a
+    non-central law.  A spike law is atom 0 with weight 1 and zero padding;
+    a batch of point masses only has one atom per law.
     """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
@@ -247,30 +315,34 @@ def conditional_snr_dist(hhat, est_error_var: float,
 
     laws = ~spike
     nc = nc[laws, None]
-    # prior or no pilot: chndtr(x, df, 0) is off by ulps; each branch is
+    # prior or no pilot: chndtr(x, df, 0) is off by ulps, and by percents at
+    # a subnormal nc, which moves no digit of the law's mean; each branch is
     # evaluated on its own laws only
-    central = nc[:, 0] == 0.0
+    central = nc[:, 0] < np.finfo(float).tiny
     other = ~central
     probs = np.linspace(0.0, 1.0, n_atoms + 1)
-    edges = np.empty((nc.size, n_atoms + 1))
-    cdfs = np.empty((3,) + edges.shape)
-    with np.errstate(over="ignore"):
-        edges[central] = 2.0 * gammaincinv(1.0, probs)
-        edges[other] = chndtrix(probs, 2.0, nc[other])
-        edges[:, 0], edges[:, -1] = 0.0, np.inf
-        for cdf, df in zip(cdfs, (2.0, 4.0, 6.0)):
-            cdf[central] = chdtr(df, edges[central])
-            cdf[other] = chndtr(edges[other], df, nc[other])
-    mass, mass4, mass6 = np.diff(cdfs, axis=2)
-    numer = 2.0 * mass4 + nc * mass6
+    mass = np.empty((nc.size, n_atoms))
+    numer = np.empty_like(mass)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        edges = 2.0 * gammaincinv(1.0, probs)
+        edges[0], edges[-1] = 0.0, np.inf
+        mass[central] = np.diff(chdtr(2.0, edges))
+        numer[central] = 2.0 * np.diff(chdtr(4.0, edges))
+        x, cdf = _noncentral_edges(probs[1:-1], nc[other])
+        e, z = _half_density(x, nc[other])
+        tail = e * (z * i1e(z) + x * i0e(z))  # 0 at the edges 0 and inf
+        pad = ((0, 0), (1, 1))
+        mass[other] = np.diff(np.pad(cdf, pad, constant_values=(0.0, 1.0)))
+        numer[other] = ((2.0 + nc[other]) * mass[other]
+                        - 2.0 * np.diff(np.pad(tail, pad)))
     good = mass > 0.0
-    # degenerate bins (ppf saturation in extreme tails): mean-preserving fallback
     means = np.where(good, numer / np.where(good, mass, 1.0), 2.0 + nc)
     values = np.zeros((center.size, n_atoms))
     weights = np.zeros((center.size, n_atoms))
     values[spike, 0] = center[spike] + est_error_var
     weights[spike, 0] = 1.0
     values[laws] = 0.5 * est_error_var * np.maximum(means, 0.0)
-    weights[laws] = 1.0 / n_atoms
+    weights[laws] = np.where(central[:, None], 1.0 / n_atoms,
+                             np.where(good, mass, 0.0))
     return SnrDistribution(values.reshape(shape + (n_atoms,)),
                            weights.reshape(shape + (n_atoms,)))

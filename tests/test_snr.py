@@ -1,13 +1,17 @@
 """Channel generation, MMSE estimation, and SNR-atom discretization."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofdma_sra import (ChannelConfig, SnrDistribution, conditional_snr_dist,
+from ofdma_sra import (ChannelConfig, McsTable, ProblemInstance,
+                       SnrDistribution, UtilitySpec, conditional_snr_dist,
                        draw_channel, mmse_estimate)
 from ofdma_sra import snr
+from ofdma_sra.kernels import get_kernels
 from ofdma_sra.snr import NC_COLLAPSE_THRESHOLD
 import reference
 
@@ -134,12 +138,12 @@ def test_zero_error_gives_point_mass():
 
 def test_exponential_case_mean():
     d = conditional_snr_dist(0.0, 1.0, 64)
-    assert mean(d) == pytest.approx(1.0, rel=5e-3)
+    assert mean(d) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_noncentral_mean():
     d = conditional_snr_dist(1.0, 0.5, 64)
-    assert mean(d) == pytest.approx(1.5, rel=5e-3)
+    assert mean(d) == pytest.approx(1.5, rel=1e-13)
 
 
 def test_second_moments():
@@ -242,83 +246,92 @@ def test_batched_centers_match_scalar_square():
 
 
 def test_batched_atoms_degenerate_bin_fallback(monkeypatch):
-    # a repeated quantile edge leaves a bin without mass; only that law's
-    # bin falls back to its own mean, 2 + nc in chi-squared units
+    # two coincident edges leave a bin without mass; only that law's bin
+    # falls back to its own mean, 2 + nc in chi-squared units, with no weight
     s2 = 0.5
     hhat = np.array([0.4, 1.0, 1.5])
     target = 2.0 * 1.0 / s2
-    chndtrix = snr.chndtrix
+    noncentral_edges = snr._noncentral_edges
 
-    def repeated_edge(q, df, nc):
-        edges = chndtrix(q, df, nc)       # (laws, n_atoms + 1)
-        hit = (nc == target).ravel()
-        edges[hit, 1] = edges[hit, 2]
-        return edges
+    def coincident(probs, nc):
+        edges, cdf = noncentral_edges(probs, nc)
+        hit = nc[:, 0] == target
+        edges[hit, 1], cdf[hit, 1] = edges[hit, 0], cdf[hit, 0]
+        return edges, cdf
 
-    monkeypatch.setattr(snr, "chndtrix", repeated_edge)
+    monkeypatch.setattr(snr, "_noncentral_edges", coincident)
     batch = assert_batch_matches_single(hhat, s2, 8)
     assert batch.values[1, 1] == 0.5 * s2 * (2.0 + target)
+    assert batch.weights[1, 1] == 0.0
+    assert mean(batch) == pytest.approx(np.abs(hhat) ** 2 + s2, rel=1e-13)
     for values in batch.values[[0, 2]]:
         assert np.all(np.diff(values) > 0.0)
 
 
-def assert_matches_ncx2(hhat, s2, n_atoms):
-    """The atoms have the bits of the ``scipy.stats.ncx2`` construction."""
-    got = conditional_snr_dist(hhat, s2, n_atoms)
-    want = reference.ncx2_snr_dist(hhat, s2, n_atoms)
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.weights, want.weights)
-    return got
-
-
-def test_atoms_match_ncx2_oracle():
-    s2 = 0.5
-    h_spike = np.sqrt(NC_COLLAPSE_THRESHOLD * s2)  # nc = 2 * threshold
-    h_edge = np.sqrt(0.999 * NC_COLLAPSE_THRESHOLD * s2 / 2.0)
-    # zero, tiny (nc down to subnormal), ordinary and spike laws
-    mixed = np.array([0.0, 1e-160, 1e-100j, 1e-9, 0.3 + 1.0j, 2.0 - 0.1j,
-                      30.0, h_spike, 0.0])
-    for n_atoms in range(1, 65):
-        assert_matches_ncx2(mixed, s2, n_atoms)
-    # nc just below the spike threshold costs ~0.3 s a call
-    for n_atoms in (2, 64):
-        assert_matches_ncx2(np.array([h_edge, 0.0]), s2, n_atoms)
-    # central laws alone: the channel prior and a run without pilots
+def test_central_atoms_match_ncx2_oracle():
+    # the channel prior and a run without pilots keep the bits of the
+    # scipy.stats.ncx2 construction, alone and next to non-central laws
     for var in (1e-30, 0.25, 1.0, 5.0):
-        prior = assert_matches_ncx2(np.zeros((4, 3)), var, 64)
-        assert prior.values.shape == (4, 3, 64)
+        for n_atoms in (1, 2, 7, 32, 64):
+            got = conditional_snr_dist(np.zeros((4, 3)), var, n_atoms)
+            want = reference.ncx2_snr_dist(np.zeros((4, 3)), var, n_atoms)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.weights, want.weights)
+    mixed = np.array([0.0, 0.3 + 1.0j, 0.0, 2.0])
+    got = conditional_snr_dist(mixed, 0.5, 64)
+    want = reference.ncx2_snr_dist(mixed, 0.5, 64)
+    for i in (0, 2):
+        assert np.array_equal(got.values[i], want.values[i])
+        assert np.array_equal(got.weights[i], want.weights[i])
+
+
+def noncentral_hhat(nc, s2):
+    """Estimates whose laws have noncentrality nc (to rounding) at s2."""
+    return np.sqrt(0.5 * np.asarray(nc) * s2) * np.exp(0.7j)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@example([-322.0, 0.0, 7.99], 0.5, 64)  # a subnormal nc next to ordinary ones
+@given(st.lists(st.floats(-300.0, np.log10(NC_COLLAPSE_THRESHOLD) - 1e-9),
+                min_size=1, max_size=3),
+       st.sampled_from([0.01, 0.5, 3.0]), st.integers(2, 128))
+def test_noncentral_atoms_property(log_nc, s2, n_atoms):
+    hhat = noncentral_hhat(10.0 ** np.array(log_nc), s2)
+    d = conditional_snr_dist(hhat, s2, n_atoms)
+    assert d.n_atoms == n_atoms
+    assert np.all(d.weights > 0.0)
+    assert np.all(np.abs(d.weights.sum(axis=-1) - 1.0) <= 1e-12)
+    assert np.all(np.diff(d.values, axis=-1) > 0.0)
+    np.testing.assert_allclose(mean(d), np.abs(hhat) ** 2 + s2, rtol=1e-13)
+    # near-equiprobable: each edge's CDF within EDGE_TOL / n of its level
+    assert np.max(np.abs(d.weights * n_atoms - 1.0)) <= 2.0 * snr.EDGE_TOL + 1e-12
+
+
+def expected_utilities(mcs, util, dists, power):
+    """E U at one power on every combination of an instance over dists."""
+    inst = ProblemInstance(mcs=mcs, utility=util, dists=dists, p_con=1.0)
+    gamma = inst.flat()[0]
+    return get_kernels().expected_utilities(*inst.flat(),
+                                            np.full(len(gamma), power))
+
+
+def test_expected_utilities_match_ncx2_oracle():
+    # the atoms are not the oracle's equiprobable ones, but the expectations
+    # every solver reads agree, at powers across the instances' range
+    utilities = [(McsTable.qam(3, 4), UtilitySpec.goodput(3)),
+                 (McsTable.capacity(3), UtilitySpec.capacity_log(0.5, 3))]
     # pilot posteriors from far below to far above the noise
-    for pilot in (-300.0, -20.0, 0.0, 30.0, 60.0, 200.0):
+    for pilot in (-300.0, -20.0, -10.0, 0.0, 10.0, 30.0, 60.0):
         c = cfg(n=8, k=3, pilot=pilot)
         est = mmse_estimate(c, draw_channel(c, seed=2), seed=2)
-        assert_matches_ncx2(est.mean, est.est_error_var, 32)
-    assert_matches_ncx2(mixed, 0.0, 64)
-
-
-def test_degenerate_bins_match_ncx2_oracle(monkeypatch):
-    # the quantile at 1/8 is read at 2/8 for one law, on both sides: its
-    # second bin has no mass and falls back to the law's mean
-    s2 = 0.5
-    hhat = np.array([0.0, 0.4, 1.0, 1.5])
-    target = 2.0 * 1.0 / s2
-
-    def shifted(q, nc):
-        return np.where((nc == target) & (q == 0.125), 0.25, q)
-
-    chndtrix, ncx2 = snr.chndtrix, reference.ncx2
-
-    class Ncx2:
-        cdf = staticmethod(ncx2.cdf)
-
-        @staticmethod
-        def ppf(q, df, nc):
-            return ncx2.ppf(shifted(q, nc), df, nc)
-
-    monkeypatch.setattr(snr, "chndtrix",
-                        lambda q, df, nc: chndtrix(shifted(q, nc), df, nc))
-    monkeypatch.setattr(reference, "ncx2", Ncx2)
-    batch = assert_matches_ncx2(hhat, s2, 8)
-    assert batch.values[2, 1] == 0.5 * s2 * (2.0 + target)
+        for n_atoms in (32, 64):
+            got = conditional_snr_dist(est.mean, est.est_error_var, n_atoms)
+            want = reference.ncx2_snr_dist(est.mean, est.est_error_var, n_atoms)
+            for (mcs, util), power in itertools.product(
+                    utilities, (0.01, 1.0, 10.0, 100.0)):
+                np.testing.assert_allclose(
+                    expected_utilities(mcs, util, got, power),
+                    expected_utilities(mcs, util, want, power), rtol=1e-8)
 
 
 # -- weight normalization ------------------------------------------------------
