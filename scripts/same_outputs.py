@@ -37,12 +37,9 @@ import tempfile
 from pathlib import Path
 
 
-def _table(path: Path) -> list:
-    """A CSV file's rows, without a ``runtime_ms`` column."""
+def _trials(path: Path) -> list:
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    if "runtime_ms" not in rows[0]:
-        return rows
     drop = rows[0].index("runtime_ms")
     return [row[:drop] + row[drop + 1:] for row in rows]
 
@@ -54,7 +51,7 @@ def _manifest(path: Path) -> dict:
 
 
 GATED = ("goodput_per_subchannel", "utility")  # the columns --rtol bounds
-READERS = {"trials.csv": _table, "summary.csv": Path.read_bytes,
+READERS = {"trials.csv": _trials, "summary.csv": Path.read_bytes,
            "manifest.json": _manifest}
 
 
@@ -81,7 +78,7 @@ def drifts(run_a: Path, run_b: Path) -> dict[str, float]:
     """Each trials.csv column's largest relative difference, timings aside:
     inf for a column whose text differs, for every column when the tables'
     shapes differ, and for ``manifest.json`` unless it matches."""
-    rows_a, rows_b = _table(run_a / "trials.csv"), _table(run_b / "trials.csv")
+    rows_a, rows_b = _trials(run_a / "trials.csv"), _trials(run_b / "trials.csv")
     if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         found = dict.fromkeys(rows_a[0] + rows_b[0], math.inf)
     else:
@@ -120,7 +117,8 @@ def main(argv=None) -> int:
     parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG")
     parser.add_argument("--schemes", help="comma-separated schemes to run")
     parser.add_argument("--rtol", type=float, metavar="R",
-                        help="compare the CSV files as numbers, within R")
+                        help="compare trials.csv as numbers: utility and "
+                        "goodput may move by a relative R")
     args = parser.parse_args(argv)
     checkouts = [args.parent.resolve(), args.change.resolve()]
     configs = ([c.resolve() for c in args.configs]

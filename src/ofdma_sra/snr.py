@@ -238,11 +238,11 @@ def _noncentral_edges(probs, nc):
 
     Safeguarded Newton from Sankaran's edges: an edge steps while its CDF
     is more than EDGE_TOL / n off its level, at most NEWTON_STEPS times; a
-    step that leaves the edge's bracket bisects it, or moves to
-    2 x + 2 + nc while the bracket has no upper end.  From Sankaran's edges
-    every edge met the tolerance within 3 steps up to 1024 atoms, and 4 up
-    to 8192.  Edges within the tolerance of levels 1/n apart are strictly
-    increasing.
+    step that leaves the edge's bracket (lo, hi) bisects it, and while hi
+    is infinite no step goes past 2 lo + 2 + nc (twice the bracket's lower
+    end plus the law's mean).  From Sankaran's edges every edge met the
+    tolerance within 3 steps up to 1024 atoms, and 4 up to 8192.  Edges
+    within the tolerance of levels 1/n apart are strictly increasing.
     """
     x = _sankaran_edges(probs, nc)
     cdf = chndtr(x, 2.0, nc)
@@ -259,10 +259,11 @@ def _noncentral_edges(probs, nc):
         lo[step] = l = np.where(err < 0.0, xs, lo[step])
         hi[step] = h = np.where(err > 0.0, xs, hi[step])
         e, z = _half_density(xs, ncs)
-        new = xs - err / (e * i0e(z))
-        inside = (new > l) & (new < h)
-        x[step] = xs = np.where(inside, new, np.where(
-            np.isinf(h), 2.0 * l + 2.0 + ncs, 0.5 * (l + h)))
+        with np.errstate(divide="ignore"):  # the density can underflow
+            new = xs - err / (e * i0e(z))
+        new = np.where((new > l) & (new < h), new, 0.5 * (l + h))
+        cap = np.where(np.isinf(h), 2.0 * l + 2.0 + ncs, h)
+        x[step] = xs = np.minimum(new, cap)
         cdf[step] = chndtr(xs, 2.0, ncs)
     return x, cdf
 
@@ -323,18 +324,17 @@ def conditional_snr_dist(hhat, est_error_var: float,
     probs = np.linspace(0.0, 1.0, n_atoms + 1)
     mass = np.empty((nc.size, n_atoms))
     numer = np.empty_like(mass)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        edges = 2.0 * gammaincinv(1.0, probs)
-        edges[0], edges[-1] = 0.0, np.inf
-        mass[central] = np.diff(chdtr(2.0, edges))
-        numer[central] = 2.0 * np.diff(chdtr(4.0, edges))
-        x, cdf = _noncentral_edges(probs[1:-1], nc[other])
-        e, z = _half_density(x, nc[other])
-        tail = e * (z * i1e(z) + x * i0e(z))  # 0 at the edges 0 and inf
-        pad = ((0, 0), (1, 1))
-        mass[other] = np.diff(np.pad(cdf, pad, constant_values=(0.0, 1.0)))
-        numer[other] = ((2.0 + nc[other]) * mass[other]
-                        - 2.0 * np.diff(np.pad(tail, pad)))
+    edges = 2.0 * gammaincinv(1.0, probs)
+    mass[central] = np.diff(chdtr(2.0, edges))
+    numer[central] = 2.0 * np.diff(chdtr(4.0, edges))
+    x, cdf = _noncentral_edges(probs[1:-1], nc[other])
+    e, z = _half_density(x, nc[other])
+    tail = e * (z * i1e(z) + x * i0e(z))  # 0 at the edges 0 and inf
+    pad = ((0, 0), (1, 1))
+    mass[other] = np.diff(np.pad(cdf, pad, constant_values=(0.0, 1.0)))
+    numer[other] = ((2.0 + nc[other]) * mass[other]
+                    - 2.0 * np.diff(np.pad(tail, pad)))
+    # a bin without mass (coincident edges): mean-preserving fallback
     good = mass > 0.0
     means = np.where(good, numer / np.where(good, mass, 1.0), 2.0 + nc)
     values = np.zeros((center.size, n_atoms))

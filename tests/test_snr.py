@@ -285,18 +285,14 @@ def test_central_atoms_match_ncx2_oracle():
         assert np.array_equal(got.weights[i], want.weights[i])
 
 
-def noncentral_hhat(nc, s2):
-    """Estimates whose laws have noncentrality nc (to rounding) at s2."""
-    return np.sqrt(0.5 * np.asarray(nc) * s2) * np.exp(0.7j)
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @example([-322.0, 0.0, 7.99], 0.5, 64)  # a subnormal nc next to ordinary ones
 @given(st.lists(st.floats(-300.0, np.log10(NC_COLLAPSE_THRESHOLD) - 1e-9),
                 min_size=1, max_size=3),
        st.sampled_from([0.01, 0.5, 3.0]), st.integers(2, 128))
 def test_noncentral_atoms_property(log_nc, s2, n_atoms):
-    hhat = noncentral_hhat(10.0 ** np.array(log_nc), s2)
+    # estimates whose laws have noncentrality 10**log_nc, to rounding
+    hhat = np.sqrt(0.5 * 10.0 ** np.array(log_nc) * s2) * np.exp(0.7j)
     d = conditional_snr_dist(hhat, s2, n_atoms)
     assert d.n_atoms == n_atoms
     assert np.all(d.weights > 0.0)
@@ -309,10 +305,9 @@ def test_noncentral_atoms_property(log_nc, s2, n_atoms):
 
 def expected_utilities(mcs, util, dists, power):
     """E U at one power on every combination of an instance over dists."""
-    inst = ProblemInstance(mcs=mcs, utility=util, dists=dists, p_con=1.0)
-    gamma = inst.flat()[0]
-    return get_kernels().expected_utilities(*inst.flat(),
-                                            np.full(len(gamma), power))
+    args = ProblemInstance(mcs=mcs, utility=util, dists=dists,
+                           p_con=1.0).flat()
+    return get_kernels().expected_utilities(*args, np.full(len(args[0]), power))
 
 
 def test_expected_utilities_match_ncx2_oracle():
