@@ -45,7 +45,7 @@ def count_steps(inst, kappa) -> dict:
         seconds = perf_counter() - t0
     finally:
         csra.evaluate_mu = evaluate
-    return {"iterations": res.iterations, "rows_total": inst.flat()[0].shape[0],
+    return {"iterations": res.iterations, "rows_total": int(np.prod(inst.shape)),
             "solve_s": seconds, "steps": steps}
 
 

@@ -82,16 +82,20 @@ class ProblemInstance:
     # -- flat (combination, atom) packing for the kernels ------------------
 
     def flat(self) -> tuple:
-        """The kernels' arguments ``(gamma, w, a, b, r, ucode, uparam)`` over
-        combinations c = (n*K + k)*M + m, cached; ``_rows`` selects rows."""
+        """The kernels' arguments ``(gamma, w, a, b, r, ucode, uparam)``, cached.
+
+        ``gamma`` and ``w`` are the law table in place: views of the
+        distributions as (N*K, 1, atoms), one law per (n, k).  ``a``, ``b``,
+        ``r`` and ``uparam`` are per combination c = (n*K + k)*M + m, which
+        reads law c // M.  ``_rows`` selects rows."""
         if self._flat is None:
-            atoms = (self.dists.n_atoms,)
+            laws = (-1, 1, self.dists.n_atoms)
 
-            def per_combination(arr, tail=()):
-                return np.broadcast_to(arr, self.shape + tail).reshape(-1, *tail)
+            def per_combination(arr):
+                return np.broadcast_to(arr, self.shape).reshape(-1)
 
-            self._flat = (per_combination(self.dists.values[:, :, None], atoms),
-                          per_combination(self.dists.weights[:, :, None], atoms),
+            self._flat = (self.dists.values.reshape(laws),
+                          self.dists.weights.reshape(laws),
                           per_combination(self.mcs.a), per_combination(self.mcs.b),
                           per_combination(self.mcs.r), self.utility.code,
                           per_combination(self.utility.param[:, None]))
@@ -100,10 +104,15 @@ class ProblemInstance:
 
 def _rows(inst: ProblemInstance, rows=slice(None), ucode: int | None = None
           ) -> tuple:
-    """The kernels' arguments at flat combination indices rows (views for a
-    slice, so all rows copy nothing), under the instance's utility or ucode."""
+    """The kernels' arguments at flat combination indices rows, under the
+    instance's utility or ucode.  ``slice(None)`` (all rows) is ``flat()``
+    itself, the law table copied nowhere; an index array gathers each row's
+    law once, as (rows, atoms) ``gamma`` and ``w``."""
     gamma, w, a, b, r, code, uparam = inst.flat()
-    return (gamma[rows], w[rows], a[rows], b[rows], r[rows],
+    if not isinstance(rows, slice):
+        law = rows // inst.n_mcs
+        gamma, w = gamma[law, 0], w[law, 0]
+    return (gamma, w, a[rows], b[rows], r[rows],
             code if ucode is None else ucode, uparam[rows])
 
 

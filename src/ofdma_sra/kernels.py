@@ -1,8 +1,8 @@
-"""Hot numeric kernels over flattened (combination, atom) arrays.
+"""Hot numeric kernels over (combination, atom) arrays.
 
 Every quantity the dual machinery needs reduces to three batched maps over
-"combinations" (rows pairing one SNR atom set with one MCS entry and one
-per-user utility parameter).  ``get_kernels()`` returns them as one
+"combinations" (rows pairing one SNR law, an atom set, with one MCS entry
+and one per-user utility parameter).  ``get_kernels()`` returns them as one
 namespace:
 
 * ``marginal_values``    -- (2, rows): the marginal
@@ -16,7 +16,10 @@ namespace:
 Each map takes the positional arguments ``(gamma, w, a, b, r, ucode,
 uparam)`` that ``dual.ProblemInstance.flat()`` packs and ``dual._rows``
 selects, followed by its own: the powers ``p``, or ``mu`` and the marginal
-and slope at p=0 for ``power_roots``.
+and slope at p=0 for ``power_roots``.  The others hold one entry per row;
+``gamma`` and ``w`` are either an instance's law table in place, (laws, 1,
+atoms) with each law read by its M consecutive rows, or one atom set per
+row, (rows, atoms), as ``dual._rows`` gathers it for a row subset.
 
 Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 0 identity, 1 weighted, 2 exponential pricing ``1-exp(-theta*g)``,
@@ -25,10 +28,11 @@ evaluated in log space when r == 1 so that deep-saturation powers
 (``exp(-b*p*gamma)`` underflowing to 0) stay finite.
 
 Each map is vectorized numpy.  ``marginal_values`` and
-``expected_utilities`` are evaluated ``_BLOCK_ROWS`` rows at a time into one
-preallocated output, which caps their (rows, atoms) temporaries at full
-scale; each row's sum is the same as in one full-size pass, so the results
-are bit-identical to it.
+``expected_utilities`` are evaluated at most ``_BLOCK_ROWS`` rows at a time
+into one preallocated output, which caps their temporaries at full scale; on
+the law table a block is whole laws, each broadcast over its M rows, and
+``w*gamma`` and ``w*gamma**2`` are formed once per law.  Each row's sum is
+the same in either layout and in one full-size pass: the bits are identical.
 
 ``power_roots`` takes Newton steps on ``log(marginal(p) / mu)`` from p=0.
 That log is convex in p for codes 0-2 and for code 3 at r == 1, so the steps
@@ -48,7 +52,8 @@ raises one ``RuntimeWarning`` naming how many rows failed.  Rows drop out of
 the working set as they converge; it is gathered anew only when at most half
 of it is unfinished, at entry and after each pass, because a gather copies
 the (rows, atoms) arrays and gathering a larger share would hold more memory
-than the loop saves.
+than the loop saves.  From the law table the first gather copies each
+unfinished row's law, once; later passes run on that (rows, atoms) set.
 
 Callers look the maps up through ``get_kernels()`` at call time, so that a
 profiler can wrap the namespace it returns.
@@ -107,38 +112,47 @@ def _u_der_t(ucode, theta, a, r, s):
 
 def _marginal_slope_rows(gamma, w, a, b, r, ucode, uparam, p):
     """(2, rows): the marginal and its derivative in p."""
-    s = b[:, None] * p[:, None] * gamma
-    theta, a2, r2 = uparam[:, None], a[:, None], r[:, None]
+    s = b[..., None] * p[..., None] * gamma
+    theta, a2, r2 = uparam[..., None], a[..., None], r[..., None]
     der_t, slope = _u_der_t(ucode, theta, a2, r2, s)
     # (rows, atoms) temporaries go as soon as they are used: at full scale
     # this map's peak sets the process's peak memory
     del s
     wg = w * gamma
-    mv = a * b * r * np.sum(wg * der_t, axis=1)
+    mv = a * b * r * np.sum(wg * der_t, axis=-1)
     del der_t
     wg *= gamma
     slope *= wg
-    return np.stack((mv, a * b * b * r * np.sum(slope, axis=1)))
+    return np.stack((mv, a * b * b * r * np.sum(slope, axis=-1)))
 
 
 def _expected_rows(gamma, w, a, b, r, ucode, uparam, p):
-    s = b[:, None] * p[:, None] * gamma
-    vals = _u_value(ucode, uparam[:, None], a[:, None], r[:, None], s)
-    return np.sum(w * vals, axis=1)
+    s = b[..., None] * p[..., None] * gamma
+    vals = _u_value(ucode, uparam[..., None], a[..., None], r[..., None], s)
+    return np.sum(w * vals, axis=-1)
 
 
 def _in_blocks(rows_fn, gamma, w, a, b, r, ucode, uparam, p):
-    """rows_fn over at most _BLOCK_ROWS rows at a time (rows on the last axis)."""
-    if gamma.shape[0] <= _BLOCK_ROWS:
+    """rows_fn over at most _BLOCK_ROWS rows at a time (rows on the last axis).
+
+    On the law table the per-row arguments go in as (laws, M), each law's
+    atoms broadcast over its M rows, and a block is whole laws."""
+    if gamma.ndim == 2 and gamma.shape[0] <= _BLOCK_ROWS:
         return rows_fn(gamma, w, a, b, r, ucode, uparam, p)
+    laws, m, per_row = gamma.shape[0], 1, (a, b, r, uparam, p)
+    if gamma.ndim == 3:
+        m = p.size // max(laws, 1)
+        per_row = [x.reshape(laws, m) for x in per_row]
+    step = max(_BLOCK_ROWS // max(m, 1), 1)
     out = None
-    for i in range(0, gamma.shape[0], _BLOCK_ROWS):
-        blk = slice(i, i + _BLOCK_ROWS)
-        part = rows_fn(gamma[blk], w[blk], a[blk], b[blk], r[blk], ucode,
-                       uparam[blk], p[blk])
+    for i in range(0, max(laws, 1), step):
+        blk = slice(i, i + step)
+        a_, b_, r_, u_, p_ = (x[blk] for x in per_row)
+        part = rows_fn(gamma[blk], w[blk], a_, b_, r_, ucode, u_, p_)
+        part = part.reshape(part.shape[:part.ndim - p_.ndim] + (-1,))
         if out is None:
-            out = np.empty(part.shape[:-1] + gamma.shape[:1])
-        out[..., blk] = part
+            out = np.empty(part.shape[:-1] + p.shape)
+        out[..., i * m:i * m + part.shape[-1]] = part
     return out
 
 
@@ -151,13 +165,17 @@ def _expected(gamma, w, a, b, r, ucode, uparam, p):
 
 
 def _gather(work, todo):
-    """The working set cut to its unfinished rows, all marked unfinished."""
+    """The working set cut to its unfinished rows, all marked unfinished; a
+    law table's gamma and w become each row's law, as (rows, atoms)."""
     keep = np.flatnonzero(todo)
-    return [arr[keep] for arr in work], np.ones(keep.size, dtype=bool)
+    gamma, w = work[:2]
+    law = (keep // (todo.size // gamma.shape[0]), 0) if gamma.ndim == 3 else keep
+    return ([gamma[law], w[law]] + [arr[keep] for arr in work[2:]],
+            np.ones(keep.size, dtype=bool))
 
 
 def _power_roots(gamma, w, a, b, r, ucode, uparam, mu, mv0, dmv0):
-    n = gamma.shape[0]
+    n = mv0.size
     out = np.zeros(n)
     todo = mv0 > mu
     left = np.count_nonzero(todo)

@@ -215,13 +215,17 @@ def test_screening_is_exercised_on_ties_and_desk_shapes():
 
 def test_roots_after_both_ends_run_only_on_survivors(monkeypatch):
     inst = desk_instance(3)
-    n_rows = inst.flat()[0].shape[0]
+    n_rows = int(np.prod(inst.shape))
     namespace = get_kernels()
     roots = namespace.power_roots
     rows = []
-    monkeypatch.setattr(namespace, "power_roots",
-                        lambda *args: rows.append(args[0].shape[0])
-                        or roots(*args))
+
+    def counted(*args):
+        out = roots(*args)
+        rows.append(out.size)
+        return out
+
+    monkeypatch.setattr(namespace, "power_roots", counted)
     evaluate = csra.evaluate_mu
     steps = []
 

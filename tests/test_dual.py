@@ -272,7 +272,8 @@ def test_allocation_utility_zero():
 def test_instance_takes_one_n_k_atoms_batch():
     inst = point_mass_instance([[1.0, 2.0], [0.5, 1.5], [1.2, 0.3]], p_con=3.0)
     assert inst.shape == (3, 2, 2)
-    assert inst.flat()[0].shape == (12, 1)
+    # the law table: one (N*K, 1, atoms) view, not one copy per MCS
+    assert inst.flat()[0].shape == (6, 1, 1)
     good = dict(mcs=inst.mcs, utility=inst.utility, p_con=3.0)
     for dists in (SnrDistribution.point_mass([1.0, 2.0]),         # (K, A)
                   SnrDistribution.point_mass(np.ones((3, 2, 2))),  # 4-D

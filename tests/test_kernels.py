@@ -1,9 +1,10 @@
 """The power-root kernel and the row-blocked maps against full-row references.
 
 ``marginal_values`` (the fused marginal and slope) and ``expected_utilities``
-evaluate a bounded number of rows at a time; that may not change a
-single bit, so those checks are ``np.array_equal`` against the full-row
-formulas kept below.  ``power_roots`` takes safeguarded Newton steps on the
+evaluate a bounded number of rows at a time, and read a law table's atoms in
+place of per-row copies; neither may change a single bit, so those checks
+are ``np.array_equal`` against the full-row formulas kept below and against
+the rows gathered out of the table.  ``power_roots`` takes safeguarded Newton steps on the
 unfinished rows only; two valid roots of a flat marginal may differ in many
 digits, so its checks are the root contract instead: a positive root exactly
 where the threshold is above mu (the support of the full-row bisection kept
@@ -255,9 +256,79 @@ def test_roots_fail_loudly_when_the_root_is_infinite():
 
 
 def test_maps_on_no_rows():
-    rows = packed(np.random.default_rng(0), 0, 0)
-    assert kernels._expected(*rows, np.zeros(0)).shape == (0,)
-    assert kernels._marginal_slope(*rows, np.zeros(0)).shape == (2, 0)
+    rng = np.random.default_rng(0)
+    for rows in (packed(rng, 0, 0), law_table(rng, 0, 15, 0)):
+        assert kernels._expected(*rows, np.zeros(0)).shape == (0,)
+        assert kernels._marginal_slope(*rows, np.zeros(0)).shape == (2, 0)
+
+
+# -- the law table: one atom row per law, read by its M rows in place ----------
+
+
+def law_table(rng, n_laws, n_mcs, ucode):
+    """Random laws as a (laws, 1, atoms) table, with n_mcs rows per law."""
+    gamma, w = packed(rng, n_laws, ucode)[:2]
+    return (gamma[:, None], w[:, None]) + packed(rng, n_laws * n_mcs, ucode)[2:]
+
+
+def gathered(table):
+    """The same rows with each row's law copied out, as (rows, atoms)."""
+    gamma, w, a = table[:3]
+    law = np.arange(a.size) // (a.size // gamma.shape[0])
+    return (gamma[law, 0], w[law, 0]) + table[2:]
+
+
+@pytest.mark.parametrize("ucode", [0, 1, 2, 3])
+def test_law_table_maps_match_gathered_rows(rng, ucode):
+    # blocks of 2048 // 15 = 136 laws: 150 laws end in a partial block
+    table = law_table(rng, 150, 15, ucode)
+    rows = gathered(table)
+    n = rows[0].shape[0]
+    assert n > _BLOCK_ROWS and _BLOCK_ROWS % 15
+    if ucode == 3:  # both capacity-log branches
+        assert np.any(rows[4] == 1.0) and np.any(rows[4] < 1.0)
+    for p in (np.zeros(n), 10.0 ** rng.uniform(-3.0, 3.0, n)):
+        assert np.array_equal(kernels._marginal_slope(*table, p),
+                              kernels._marginal_slope(*rows, p))
+        assert np.array_equal(kernels._expected(*table, p),
+                              kernels._expected(*rows, p))
+
+
+@pytest.mark.parametrize("ucode", [0, 1, 2, 3])
+def test_law_table_roots_match_gathered_rows(rng, ucode, monkeypatch):
+    table = law_table(rng, 150, 15, ucode)
+    rows = gathered(table)
+    mv0, dmv0 = kernels._marginal_slope(*rows, np.zeros(rows[0].shape[0]))
+    layouts = []
+    gather = kernels._gather
+
+    def recording(work, todo):
+        layouts.append(work[0].ndim)
+        return gather(work, todo)
+
+    monkeypatch.setattr(kernels, "_gather", recording)
+    for q, more_than_half in ((0.2, True), (0.8, False)):
+        mu = float(np.quantile(mv0, q))
+        assert (np.mean(mv0 > mu) > 0.5) == more_than_half
+        layouts.clear()
+        got = kernels._power_roots(*table, mu, mv0, dmv0)
+        # the first gather reads each row's law from the table, once
+        assert layouts[0] == 3 and set(layouts[1:]) <= {2}
+        assert np.array_equal(got, kernels._power_roots(*rows, mu, mv0, dmv0))
+
+
+def test_flat_reads_the_law_table_in_place():
+    packed_bytes = []
+    for n_mcs in (1, 15):
+        inst = atom_instance(2, n_sub=4, n_usr=3, n_mcs=n_mcs, n_atoms=8)
+        gamma, w = inst.flat()[:2]
+        assert np.shares_memory(gamma, inst.dists.values)
+        assert np.shares_memory(w, inst.dists.weights)
+        packed_bytes.append(gamma.nbytes + w.nbytes)
+        idx = np.array([0, n_mcs, 5 * n_mcs - 1, inst.flat()[2].size - 1])
+        assert np.array_equal(_rows(inst, idx)[0],
+                              inst.dists.values.reshape(-1, 8)[idx // n_mcs])
+    assert packed_bytes[0] == packed_bytes[1] == 2 * 12 * 8 * 8
 
 
 # -- property: any atoms, any code, any mu in the solver's range ---------------

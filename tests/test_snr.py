@@ -305,9 +305,9 @@ def test_noncentral_atoms_property(log_nc, s2, n_atoms):
 
 def expected_utilities(mcs, util, dists, power):
     """E U at one power on every combination of an instance over dists."""
-    args = ProblemInstance(mcs=mcs, utility=util, dists=dists,
-                           p_con=1.0).flat()
-    return get_kernels().expected_utilities(*args, np.full(len(args[0]), power))
+    inst = ProblemInstance(mcs=mcs, utility=util, dists=dists, p_con=1.0)
+    return get_kernels().expected_utilities(*inst.flat(),
+                                            np.full(inst.shape, power).ravel())
 
 
 def test_expected_utilities_match_ncx2_oracle():
