@@ -24,8 +24,11 @@ collapses to [mu_min, mu_min] with lam = 0 and no midpoints.
 The utility of the returned solution sits within (mu_hi - mu_lo) * P_con of
 the continuous optimum, so the bracket width kappa is a tunable optimality
 certificate.  Both endpoint indicators, empty ones included, are also
-water-filled to their fixed-allocation optima (one bisection over at most N
-active combinations each) into ``fixed_lo`` and ``fixed_hi``.  The best
+water-filled to their fixed-allocation optima into ``fixed_lo`` and
+``fixed_hi`` (``waterfill``): a halving over at most N active combinations
+each, which proposals of the binding price (a closed-form start, then
+Newton steps on log mu) bring to its final bracket in a few evaluations;
+an empty indicator needs none.  The best
 feasible of the blend and those water-fillings is returned; this never
 weakens the certificate -- every candidate is feasible and meets the budget
 -- and the discrete solver, which keeps the one of ``fixed_lo`` and

@@ -304,43 +304,98 @@ class _Bracket:
     hi: float
     at_lo: object
     at_hi: object
-    mids: list[float]   # every midpoint evaluated, in order
+    mids: list[float]   # every point evaluated in the loop, in order
     lam: float          # weight on the upper end of the budget-meeting blend
 
 
-def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
-                   kappa: float) -> _Bracket:
-    """Halve [lo, hi] on the power price mu around the budget-binding point.
-
-    ``evaluate(mu, at_lo, at_hi)`` is the work done at one price, given the
-    results at the bracket's ends (None for an end not evaluated yet), and
-    ``total(result)`` the power it spends.  One comparison decides binding: a midpoint with
-    ``total >= budget`` becomes the lower end, any other the upper end.  Stops
-    once the bracket is at most kappa wide, or once its ends are adjacent
-    floats (a kappa below their spacing).  Ends are evaluated lazily: only
-    an end that never moved is evaluated, once, after the loop.  ``lam`` is
-    the weight on the upper end at which the blend of the two ends spends
-    ``budget``, clipped to [0, 1].
-    """
-    at_lo = at_hi = None
-    mids = []
+def _halve(lo: float, hi: float, kappa: float, binds) -> tuple:
+    """Halve [lo, hi] until it is at most kappa wide, or its ends are
+    adjacent floats (a kappa below their spacing); a midpoint for which
+    ``binds(mid)`` holds becomes the lower end, any other the upper end."""
     while hi - lo > kappa:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        mids.append(mid)
-        at_mid = evaluate(mid, at_lo, at_hi)
-        if total(at_mid) >= budget:
-            lo, at_lo = mid, at_mid
+        if binds(mid):
+            lo = mid
         else:
-            hi, at_hi = mid, at_mid
+            hi = mid
+    return lo, hi
+
+
+def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
+                   kappa: float, estimate=None, start: float = np.nan
+                   ) -> _Bracket:
+    """Halve [lo, hi] on the power price mu around the budget-binding point.
+
+    ``evaluate(mu, at_lo, at_hi)`` is the work done at one price, given the
+    results at the nearest evaluated points on either side (None for a side
+    with none yet), and ``total(result)`` the power it spends.  A midpoint
+    binds when ``total >= budget`` there (``_halve``).  Ends are evaluated
+    lazily: an end that was never evaluated is evaluated, once, after the
+    halving.  ``lam`` is the weight on the upper end at which the blend of
+    the two ends spends ``budget``, clipped to [0, 1].
+
+    **Guided halving.**  ``start`` proposes the binding price before any
+    evaluation, from below, and ``estimate(mu, result)`` after each (a
+    Newton step).  The halving is unchanged, but a midpoint is evaluated
+    only when it lies strictly between the nearest evaluated points that
+    bind and that do not; any other is decided without an evaluation,
+    because the total is nonincreasing in mu.  In its place the loop
+    evaluates a point of the final grid (the ends of the brackets the
+    halving can finish on): the one next to the proposal away from where it
+    came from, above ``start`` and above a proposal made at a binding
+    point, below one made at a point that does not bind.  A proposal in the
+    final bracket thus lands on its far end, and the next on its near end.
+    When the far end is not strictly between the evaluated points, the near
+    end is taken, and when neither is, the midpoint.  So lo, hi and the ends' evaluations are those of plain
+    halving, unless two totals computed within the root tolerance of each
+    other are out of order.
+    """
+    mids = []
+    # nearest evaluated points that bind (a) and that do not (b), or the
+    # starting ends, and the results there; the results at the bracket's
+    # ends, None where an end was decided without an evaluation
+    a, at_a, b, at_b = lo, None, hi, None
+    at_lo = at_hi = None
+    guess, from_below, last = start, True, None
+
+    def binds(mid):
+        nonlocal a, at_a, b, at_b, at_lo, at_hi, guess, from_below, last
+        while a < mid < b:
+            if last is not None:  # the estimate from the last evaluation
+                guess, from_below, last = estimate(*last[:2]), last[2], None
+            point = mid
+            if np.isfinite(guess):
+                cell = _halve(lo, hi, kappa, lambda m: m <= guess)
+                for grid in (cell[::-1] if from_below else cell):
+                    if a < grid < b:
+                        point = grid
+                        break
+            mids.append(point)
+            at = evaluate(point, at_a, at_b)
+            binding = total(at) >= budget
+            if binding:
+                a, at_a = point, at
+            else:
+                b, at_b = point, at
+            if estimate is not None:
+                last = (point, at, binding)
+        if mid <= a:
+            at_lo = at_a if mid == a else None
+            return True
+        at_hi = at_b if mid == b else None
+        return False
+
+    end_lo, end_hi = _halve(lo, hi, kappa, binds)
     if at_lo is None:
-        at_lo = evaluate(lo)
+        at_lo = evaluate(end_lo)
     if at_hi is None:
-        at_hi = evaluate(hi)
+        at_hi = evaluate(end_hi)
     x_lo, x_hi = total(at_lo), total(at_hi)
     lam = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
-    return _Bracket(lo, hi, at_lo, at_hi, mids, min(max(lam, 0.0), 1.0))
+    return _Bracket(end_lo, end_hi, at_lo, at_hi, mids,
+                    min(max(lam, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

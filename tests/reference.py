@@ -167,6 +167,28 @@ def grid_power_oracle(inst, indicator, grid_points):
     return powers, utility
 
 
+def point_mass_waterfill(gamma, a, b, r, p_con):
+    """Exact goodput water-filling of point-mass rows: (powers, level mu).
+
+    Row c spends p_c = max(0, log(a b r gamma_c / mu) / (b gamma_c)), and
+    the level mu makes the rows spend p_con.  Rows switch on in the order
+    of their activation thresholds h_c = a b r gamma_c.  With the k highest
+    on, sum p = p_con gives log mu = (sum log(h_c)/s_c - p_con) / sum 1/s_c,
+    s_c = b gamma_c; k is the first count whose level is at or above the
+    next threshold.  No root-finder and no bisection.
+    """
+    gamma, a, b, r = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                           for x in (gamma, a, b, r)))
+    h, s = a * b * r * gamma, b * gamma
+    order = np.argsort(-h, kind="stable")
+    for k in range(1, h.size + 1):
+        on = order[:k]
+        log_mu = (np.sum(np.log(h[on]) / s[on]) - p_con) / np.sum(1.0 / s[on])
+        if k == h.size or log_mu >= np.log(h[order[k]]):
+            break
+    return np.maximum(0.0, (np.log(h) - log_mu) / s), float(np.exp(log_mu))
+
+
 def iteration_bound(mu_min, mu_max, kappa):
     """Worst-case number of mu-updates of a bisection to bracket width kappa."""
     if mu_max - mu_min <= kappa:

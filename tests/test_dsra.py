@@ -1,6 +1,8 @@
 """Discrete solver: fixed-allocation water-filling, brute force, certificates."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdma_sra import (McsTable, ProblemInstance, SnrDistribution, UtilitySpec,
-                       default_kappa, dsra_gap_bound, evaluate_mu, mu_bounds,
+from ofdma_sra import (McsTable, ProblemInstance, ScenarioConfig,
+                       SnrDistribution, UtilitySpec, default_kappa,
+                       dsra_gap_bound, evaluate_mu, mu_bounds, run_trial,
                        solve_csra, solve_dsra, solve_fixed_allocation)
-from ofdma_sra import waterfill
+from ofdma_sra import csra, waterfill
+from ofdma_sra.dual import _bisect_budget, _rows
+from ofdma_sra.waterfill import refinement_kappa
 from conftest import atom_instance, point_mass_instance, single_combo_instance
-from reference import brute_force_dsra
+from reference import brute_force_dsra, point_mass_waterfill
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_fixed_allocation_single_combo():
@@ -46,7 +53,7 @@ def test_fixed_allocation_budget_never_exceeded(rng):
 
 
 def test_fixed_allocation_kappa_below_float_spacing(monkeypatch):
-    # the water-filling bisection stops at adjacent floats too
+    # the water-filling search stops at adjacent floats too
     inst = atom_instance(seed=5, n_sub=3, n_usr=2, n_mcs=2, p_con=12.0)
     ind = np.zeros(inst.shape)
     ind[:, 0, 1] = 1.0
@@ -60,7 +67,8 @@ def test_fixed_allocation_kappa_below_float_spacing(monkeypatch):
         return kernels.power_roots(*args)
 
     monkeypatch.setattr(waterfill, "get_kernels", lambda: SimpleNamespace(
-        power_roots=capped, expected_utilities=kernels.expected_utilities))
+        power_roots=capped, marginal_values=kernels.marginal_values,
+        expected_utilities=kernels.expected_utilities))
     fs = solve_fixed_allocation(inst, ind, kappa=1e-300)
     assert fs.mu_hi == np.nextafter(fs.mu_lo, np.inf)
     assert fs.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
@@ -71,6 +79,106 @@ def test_fixed_allocation_empty():
     fs = solve_fixed_allocation(inst, np.zeros((1, 1, 1)), kappa=1e-3)
     assert fs.alloc.total_power == 0.0
     assert fs.utility == 0.0
+    assert fs.iterations == 0
+
+
+@st.composite
+def point_mass_allocation(draw):
+    """A point-mass goodput instance and a fixed indicator: random, with one
+    active row, or with a row far below the others under a small budget, so
+    that it stays off.  SNRs and budgets keep the binding price a normal
+    float."""
+    kind = draw(st.sampled_from(["random", "single", "off"]))
+    n_sub = draw(st.integers(1 if kind == "single" else 2, 5))
+    n_usr, n_mcs = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    gammas = 10.0 ** np.reshape(draw(st.lists(
+        st.floats(-1.5, 1.0), min_size=n_sub * n_usr, max_size=n_sub * n_usr)),
+        (n_sub, n_usr))
+    choice = [draw(st.integers(0, n_usr * n_mcs - 1)) for _ in range(n_sub)]
+    if kind == "random":
+        choice = [c if draw(st.booleans()) else -1 for c in choice]
+    elif kind == "single":
+        keep = draw(st.integers(0, n_sub - 1))
+        choice = [c if n == keep else -1 for n, c in enumerate(choice)]
+    else:
+        gammas[0] = gammas[1:].max() * 10.0 ** -draw(st.floats(2.0, 3.0))
+    p_con = 10.0 ** draw(st.floats(-2.0, -0.5 if kind == "off" else 1.5))
+    inst = point_mass_instance(gammas, p_con, mcs=McsTable.qam(n_usr, n_mcs))
+    ind = np.zeros((n_sub, n_usr * n_mcs))
+    for n, c in enumerate(choice):
+        if c >= 0:
+            ind[n, c] = 1.0
+    return kind, inst, ind.reshape(inst.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_mass_allocation())
+def test_fixed_allocation_matches_exact_point_mass_waterfill(case):
+    kind, inst, ind = case
+    rows = np.flatnonzero(ind)
+    kappa = refinement_kappa(*mu_bounds(inst), default_kappa(inst.p_con))
+    fs = solve_fixed_allocation(inst, ind, kappa)
+    if not rows.size:
+        assert fs.iterations == 0 and fs.utility == 0.0
+        return
+    gamma, _, a, b, r, _, _ = _rows(inst, rows)
+    want, _ = point_mass_waterfill(gamma[:, 0], a, b, r, inst.p_con)
+    if kind == "off":
+        assert np.any(want == 0.0)
+    got = fs.alloc.actual_power.ravel()[rows]
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * inst.p_con)
+    assert fs.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
+    # the tangent level at zero power is exact on point masses: one step
+    # to each end of the final bracket, and perhaps one more from rounding
+    assert fs.iterations <= 3
+
+
+def desk_trial_fixed_solves(monkeypatch):
+    """Run trial 0 of configs/pilot_sweep_desk.json at every pilot SNR and
+    return each fixed-allocation solve with its kappa, and each budget search
+    it made next to plain halving of the same bracket."""
+    solves, searches = [], []
+    solve = csra.solve_fixed_allocation
+
+    def record_solve(inst, indicator, kappa):
+        fs = solve(inst, indicator, kappa)
+        solves.append((inst, fs, kappa))
+        return fs
+
+    def both_searches(evaluate, total, budget, lo, hi, kappa, *guides):
+        guided = _bisect_budget(evaluate, total, budget, lo, hi, kappa, *guides)
+        searches.append((guided, _bisect_budget(evaluate, total, budget, lo,
+                                                hi, kappa)))
+        return guided
+
+    monkeypatch.setattr(csra, "solve_fixed_allocation", record_solve)
+    monkeypatch.setattr(waterfill, "_bisect_budget", both_searches)
+    cfg = ScenarioConfig.from_dict(json.loads(
+        (CONFIGS / "pilot_sweep_desk.json").read_text()))
+    for s in range(len(cfg.sweep_values)):
+        run_trial(cfg, s, 0)
+    return solves, searches
+
+
+def test_fixed_solves_of_a_desk_trial_take_few_steps(monkeypatch):
+    solves, _ = desk_trial_fixed_solves(monkeypatch)
+    assert len(solves) >= 12
+    for inst, fs, kappa in solves:
+        assert fs.iterations <= (3 if inst.dists.n_atoms == 1 else 8)
+        assert fs.mu_hi - fs.mu_lo <= kappa
+        assert fs.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
+
+
+def test_guided_search_ends_on_the_halving_bracket(monkeypatch):
+    # the Newton proposals only skip evaluations: bracket, end evaluations
+    # and blend are those of plain halving, bit for bit
+    _, searches = desk_trial_fixed_solves(monkeypatch)
+    for guided, plain in searches:
+        assert (guided.lo, guided.hi, guided.lam) == (plain.lo, plain.hi, plain.lam)
+        assert guided.at_lo.tobytes() == plain.at_lo.tobytes()
+        assert guided.at_hi.tobytes() == plain.at_hi.tobytes()
+    steps = [sum(len(br.mids) for br in side) for side in zip(*searches)]
+    assert 3 * steps[0] <= steps[1]
 
 
 def test_fixed_allocation_invalid_kappa():
