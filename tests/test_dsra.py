@@ -170,7 +170,7 @@ def test_fixed_solves_of_a_desk_trial_take_few_steps(monkeypatch):
 
 
 def test_guided_search_ends_on_the_halving_bracket(monkeypatch):
-    # the Newton proposals only skip evaluations: bracket, end evaluations
+    # the proposals only skip evaluations: bracket, end evaluations
     # and blend are those of plain halving, bit for bit
     _, searches = desk_trial_fixed_solves(monkeypatch)
     for guided, plain in searches:
