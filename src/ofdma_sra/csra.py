@@ -88,15 +88,12 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
     br = _bisect_budget(partial(evaluate_mu, inst),
                         lambda ev: ev.alloc_min.total_power, inst.p_con,
                         mu_min, mu_max, kappa)
-    # The budget is slack when even mu_min, the lower end that then never
-    # moved, spends less than P_con.  Reachable: atoms of a wide dynamic
-    # range (e.g. [1e-300, 1e300]) leave the marginal flat within
-    # ROOT_REL_TOL of mu_min, and the allocation spends a fraction of P_con
-    # with gap 0; what to do instead is open (ROADMAP.md, robust sweeps).  The
-    # tolerance keeps root-find noise at the exactly-binding corner out.
-    budget_slack = br.at_lo.alloc_min.total_power < inst.p_con * (1.0 - 1e-6)
-    if budget_slack:
-        br = _Bracket(mu_min, mu_min, br.at_lo, br.at_lo, [], 0.0)
+    # A slack budget is reachable: atoms of a wide dynamic range (e.g.
+    # [1e-300, 1e300]) leave the marginal flat within ROOT_REL_TOL of mu_min,
+    # and the allocation spends a fraction of P_con with gap 0; what to do
+    # instead is open (ROADMAP.md, robust sweeps).
+    if br.slack:
+        br = _Bracket(mu_min, mu_min, br.at_lo, br.at_lo, [], 0.0, True)
     lam, mu_lo, mu_hi = br.lam, br.lo, br.hi
     alloc_lo, alloc_hi = br.at_lo.alloc_min, br.at_hi.alloc_min
     same_ends = bool(np.array_equal(alloc_lo.indicator, alloc_hi.indicator))
@@ -120,5 +117,5 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
         alloc_lo=alloc_lo, alloc_hi=alloc_hi, lam=lam,
         blend=blend, alloc=best_alloc, utility=best_util,
         gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
-        budget_slack=budget_slack, degenerate_blend=degenerate,
+        budget_slack=br.slack, degenerate_blend=degenerate,
         fixed_lo=fixed_lo, fixed_hi=fixed_hi)

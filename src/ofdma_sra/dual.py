@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import ROOT_REL_TOL, get_kernels
+from .kernels import ROOT_REL_TOL, get_kernels, zero_power_utilities
 from .snr import SnrDistribution
 from .utility import UTILITY_CODES, McsTable, UtilitySpec
 
@@ -61,7 +61,6 @@ class ProblemInstance:
         self._flat = None
         self._mu_bounds = None
         self._thresholds = None
-        self._eu0 = None
 
     @property
     def n_subchannels(self) -> int:
@@ -85,11 +84,11 @@ class ProblemInstance:
         """The kernels' arguments ``(gamma, w, a, b, r, ucode, uparam)``, cached.
 
         ``gamma`` and ``w`` are the law table in place: views of the
-        distributions as (N*K, 1, atoms), one law per (n, k).  ``a``, ``b``,
+        distributions as (N*K, atoms), one law per (n, k).  ``a``, ``b``,
         ``r`` and ``uparam`` are per combination c = (n*K + k)*M + m, which
         reads law c // M.  ``_rows`` selects rows."""
         if self._flat is None:
-            laws = (-1, 1, self.dists.n_atoms)
+            laws = (-1, self.dists.n_atoms)
 
             def per_combination(arr):
                 return np.broadcast_to(arr, self.shape).reshape(-1)
@@ -106,12 +105,12 @@ def _rows(inst: ProblemInstance, rows=slice(None), ucode: int | None = None
           ) -> tuple:
     """The kernels' arguments at flat combination indices rows, under the
     instance's utility or ucode.  ``slice(None)`` (all rows) is ``flat()``
-    itself, the law table copied nowhere; an index array gathers each row's
-    law once, as (rows, atoms) ``gamma`` and ``w``."""
+    itself, the law table copied nowhere; an index array copies each row's
+    law once, one law per row."""
     gamma, w, a, b, r, code, uparam = inst.flat()
     if not isinstance(rows, slice):
         law = rows // inst.n_mcs
-        gamma, w = gamma[law, 0], w[law, 0]
+        gamma, w = gamma[law], w[law]
     return (gamma, w, a[rows], b[rows], r[rows],
             code if ucode is None else ucode, uparam[rows])
 
@@ -176,22 +175,19 @@ def _tie_mask(v2: np.ndarray, slack=0.0) -> np.ndarray:
 def _expected_at_roots(inst: ProblemInstance, rows, p: np.ndarray) -> np.ndarray:
     """Expected utilities at powers p on flat indices rows (slice(None): all).
 
-    Only the rows with p > 0 go through the kernel when they are at most half
-    of rows, the share ``power_roots`` gathers at entry, so no larger
-    (rows, atoms) block is copied; the others take E U(0), computed for
-    every combination once per instance, on first need.  Per-row kernel
-    sums do not depend on the rows present, so the bits are those of one
-    pass over rows.
+    Rows with p = 0 take E U(0) in closed form (``zero_power_utilities``),
+    0 at a = 1 as the atom sum is.  The kernel runs over all of rows when
+    more than half of them have p > 0, else over those alone, gathered, so
+    no larger block of laws is copied than ``power_roots`` gathers at entry.
+    Per-row kernel sums do not depend on the rows present.
     """
     on = p > 0.0
+    _, _, a, _, r, code, uparam = inst.flat()
+    eu = zero_power_utilities(a[rows], r[rows], code, uparam[rows])
     if 2 * np.count_nonzero(on) > p.size:
-        return get_kernels().expected_utilities(*_rows(inst, rows), p)
-    if inst._eu0 is None:
-        inst._eu0 = get_kernels().expected_utilities(
-            *_rows(inst), np.zeros(inst.shape).ravel())
-    eu = inst._eu0[rows].copy()
-    if on.any():
-        flat = rows if isinstance(rows, np.ndarray) else np.arange(eu.size)
+        eu[on] = get_kernels().expected_utilities(*_rows(inst, rows), p)[on]
+    elif on.any():
+        flat = rows if isinstance(rows, np.ndarray) else np.arange(p.size)
         eu[on] = get_kernels().expected_utilities(*_rows(inst, flat[on]), p[on])
     return eu
 
@@ -263,8 +259,8 @@ def evaluate_mu(inst: ProblemInstance, mu: float,
     64 ulp) * S_n: a few 1e-9 relative, far below the spread of scores
     across a bracket that still has steps to go.
 
-    Expected utilities are computed where p* > 0 and taken from a
-    per-instance E U(0) cache elsewhere (``_expected_at_roots``).
+    Expected utilities are computed where p* > 0 and in closed form at
+    p* = 0 (``_expected_at_roots``).
     """
     if not 0.0 <= mu < np.inf:
         raise ValueError("multiplier must be finite and nonnegative")
@@ -306,6 +302,7 @@ class _Bracket:
     at_hi: object
     mids: list[float]   # every point evaluated in the loop, in order
     lam: float          # weight on the upper end of the budget-meeting blend
+    slack: bool         # the lower end spends less than the budget
 
 
 def _halve(lo: float, hi: float, kappa: float, binds) -> tuple:
@@ -334,7 +331,10 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
     binds when ``total >= budget`` there (``_halve``).  Ends are evaluated
     lazily: an end that was never evaluated is evaluated, once, after the
     halving.  ``lam`` is the weight on the upper end at which the blend of
-    the two ends spends ``budget``, clipped to [0, 1].
+    the two ends spends ``budget``, clipped to [0, 1].  The budget is
+    ``slack`` when the lower end, which then never moved, spends less than
+    ``budget * (1 - 1e-6)``; the tolerance keeps root-find noise at the
+    exactly-binding corner out.
 
     **Guided halving.**  ``start`` proposes the binding price before any
     evaluation, from below, and ``estimate(mu, result)`` after each (a
@@ -395,7 +395,7 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
     x_lo, x_hi = total(at_lo), total(at_hi)
     lam = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
     return _Bracket(end_lo, end_hi, at_lo, at_hi, mids,
-                    min(max(lam, 0.0), 1.0))
+                    min(max(lam, 0.0), 1.0), x_lo < budget * (1.0 - 1e-6))
 
 
 # ---------------------------------------------------------------------------

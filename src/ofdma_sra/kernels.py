@@ -16,10 +16,12 @@ namespace:
 Each map takes the positional arguments ``(gamma, w, a, b, r, ucode,
 uparam)`` that ``dual.ProblemInstance.flat()`` packs and ``dual._rows``
 selects, followed by its own: the powers ``p``, or ``mu`` and the marginal
-and slope at p=0 for ``power_roots``.  The others hold one entry per row;
-``gamma`` and ``w`` are either an instance's law table in place, (laws, 1,
-atoms) with each law read by its M consecutive rows, or one atom set per
-row, (rows, atoms), as ``dual._rows`` gathers it for a row subset.
+and slope at p=0 for ``power_roots``.  ``gamma`` and ``w`` are a (laws,
+atoms) table of SNR laws whose row i reads law i // m, m = rows / laws: an
+instance's table in place (m = M), or one law per row (m = 1) as
+``dual._rows`` copies them for a row subset; the others hold one entry per
+row.  At zero power the goodput (1 - a) r does not depend on the SNR, so
+``zero_power_utilities`` gives E U(0) = U((1 - a) r) without atoms.
 
 Utility variants are encoded as integers (see ``utility.UtilitySpec``):
 0 identity, 1 weighted, 2 exponential pricing ``1-exp(-theta*g)``,
@@ -29,10 +31,9 @@ evaluated in log space when r == 1 so that deep-saturation powers
 
 Each map is vectorized numpy.  ``marginal_values`` and
 ``expected_utilities`` are evaluated at most ``_BLOCK_ROWS`` rows at a time
-into one preallocated output, which caps their temporaries at full scale; on
-the law table a block is whole laws, each broadcast over its M rows, and
-``w*gamma`` and ``w*gamma**2`` are formed once per law.  Each row's sum is
-the same in either layout and in one full-size pass: the bits are identical.
+into one preallocated output, which caps their temporaries at full scale; a
+block is whole laws, each broadcast over its m rows.  Each row's sum is the
+same for any m and in one full-size pass: the bits are identical.
 
 ``power_roots`` takes Newton steps on ``log(marginal(p) / mu)`` from p=0.
 That log is convex in p for codes 0-2 and for code 3 at r == 1, so the steps
@@ -51,9 +52,9 @@ and a marginal that never reaches 0) keep their last power, and the call
 raises one ``RuntimeWarning`` naming how many rows failed.  Rows drop out of
 the working set as they converge; it is gathered anew only when at most half
 of it is unfinished, at entry and after each pass, because a gather copies
-the (rows, atoms) arrays and gathering a larger share would hold more memory
-than the loop saves.  From the law table the first gather copies each
-unfinished row's law, once; later passes run on that (rows, atoms) set.
+each kept row's law and gathering a larger share would hold more memory
+than the loop saves.  The first gather copies each unfinished row's law out
+of the table, once (m = 1 from then on).
 
 Callers look the maps up through ``get_kernels()`` at call time, so that a
 profiler can wrap the namespace it returns.
@@ -62,6 +63,7 @@ profiler can wrap the namespace it returns.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,6 +89,11 @@ def _u_value(ucode, theta, a, r, s):
     plain = theta * np.log(1.0 - np.log(safe))
     exact = theta * np.log(1.0 - np.log(a) + s)
     return np.where(r == 1.0, exact, plain)
+
+
+def zero_power_utilities(a, r, ucode, uparam):
+    """E U at zero power per row, U((1 - a) r): the same for every SNR."""
+    return _u_value(ucode, uparam, a, r, 0.0)
 
 
 def _u_der_t(ucode, theta, a, r, s):
@@ -135,42 +142,37 @@ def _expected_rows(gamma, w, a, b, r, ucode, uparam, p):
 def _in_blocks(rows_fn, gamma, w, a, b, r, ucode, uparam, p):
     """rows_fn over at most _BLOCK_ROWS rows at a time (rows on the last axis).
 
-    On the law table the per-row arguments go in as (laws, M), each law's
-    atoms broadcast over its M rows, and a block is whole laws."""
-    if gamma.ndim == 2 and gamma.shape[0] <= _BLOCK_ROWS:
+    Row i reads law i // m of the (laws, atoms) table, m = rows / laws.  A
+    block is whole laws: the per-row arguments go in as (laws, m) and each
+    law's atoms as (laws, 1, atoms), broadcast over its m rows."""
+    laws = gamma.shape[0]
+    m = p.size // max(laws, 1)
+    if m == 1 and laws <= _BLOCK_ROWS:
         return rows_fn(gamma, w, a, b, r, ucode, uparam, p)
-    laws, m, per_row = gamma.shape[0], 1, (a, b, r, uparam, p)
-    if gamma.ndim == 3:
-        m = p.size // max(laws, 1)
-        per_row = [x.reshape(laws, m) for x in per_row]
+    per_row = [x.reshape(laws, m) for x in (a, b, r, uparam, p)]
     step = max(_BLOCK_ROWS // max(m, 1), 1)
     out = None
     for i in range(0, max(laws, 1), step):
         blk = slice(i, i + step)
         a_, b_, r_, u_, p_ = (x[blk] for x in per_row)
-        part = rows_fn(gamma[blk], w[blk], a_, b_, r_, ucode, u_, p_)
-        part = part.reshape(part.shape[:part.ndim - p_.ndim] + (-1,))
+        part = rows_fn(gamma[blk, None], w[blk, None], a_, b_, r_, ucode, u_, p_)
+        part = part.reshape(part.shape[:-2] + (-1,))
         if out is None:
             out = np.empty(part.shape[:-1] + p.shape)
         out[..., i * m:i * m + part.shape[-1]] = part
     return out
 
 
-def _marginal_slope(gamma, w, a, b, r, ucode, uparam, p):
-    return _in_blocks(_marginal_slope_rows, gamma, w, a, b, r, ucode, uparam, p)
-
-
-def _expected(gamma, w, a, b, r, ucode, uparam, p):
-    return _in_blocks(_expected_rows, gamma, w, a, b, r, ucode, uparam, p)
+_marginal_slope = partial(_in_blocks, _marginal_slope_rows)
+_expected = partial(_in_blocks, _expected_rows)
 
 
 def _gather(work, todo):
-    """The working set cut to its unfinished rows, all marked unfinished; a
-    law table's gamma and w become each row's law, as (rows, atoms)."""
+    """The working set cut to its unfinished rows, all marked unfinished;
+    gamma and w become each kept row's law, one law per row (m = 1)."""
     keep = np.flatnonzero(todo)
-    gamma, w = work[:2]
-    law = (keep // (todo.size // gamma.shape[0]), 0) if gamma.ndim == 3 else keep
-    return ([gamma[law], w[law]] + [arr[keep] for arr in work[2:]],
+    law = keep // (todo.size // work[0].shape[0])
+    return ([work[0][law], work[1][law]] + [arr[keep] for arr in work[2:]],
             np.ones(keep.size, dtype=bool))
 
 

@@ -39,7 +39,6 @@ STREAM_CHANNEL = 0
 STREAM_PILOT = 1
 STREAM_SCHEDULER = 2
 
-DEFAULT_N_ATOMS = 64
 NC_COLLAPSE_THRESHOLD = 1e8  # noncentrality above which the law is a spike
 EDGE_TOL = 1e-6  # a bin edge's CDF may miss its level by EDGE_TOL / n_atoms
 NEWTON_STEPS = 4  # at most, per edge
@@ -269,7 +268,7 @@ def _noncentral_edges(probs, nc):
 
 
 def conditional_snr_dist(hhat, est_error_var: float,
-                         n_atoms: int = DEFAULT_N_ATOMS) -> SnrDistribution:
+                         n_atoms: int) -> SnrDistribution:
     """Discretize the law of |Z|^2, Z ~ CN(hhat, sigma_e^2) into atoms, for
     each entry of hhat: the batch has hhat's shape.
 

@@ -20,8 +20,9 @@ guided by proposals of the binding price:
 The halving ends on the same bracket as without proposals, after 2
 evaluations on point masses and 4-8 on 32-atom laws at desk scale, where
 halving alone takes 29-33.  The two ends of that bracket are blended so the
-returned powers meet the budget with equality.  An empty indicator spends
-nothing and needs no search.
+returned powers meet the budget with equality, unless even mu_min spends
+less (``budget_slack``; e.g. mu_min = 0 where the marginal underflows).
+An empty indicator spends nothing, needs no search and counts as slack.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class FixedAllocationSolve:
     mu_hi: float
     utility: float          # sum of expected utilities at the blended powers
     iterations: int
+    budget_slack: bool      # spends less than the budget even at mu_min
 
 
 def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
@@ -66,7 +68,7 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     if not active.size:  # nothing to price: collapsed as a slack budget is
         return FixedAllocationSolve(
             alloc=AllocationState(indicator.copy(), x), mu_lo=mu_min,
-            mu_hi=mu_min, utility=0.0, iterations=0)
+            mu_hi=mu_min, utility=0.0, iterations=0, budget_slack=True)
     packed = _rows(inst, active)
     zero = _thresholds(inst, active)
 
@@ -91,7 +93,8 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
     x.ravel()[active] = p_blend
     return FixedAllocationSolve(
         alloc=AllocationState(indicator.copy(), x), mu_lo=float(br.lo),
-        mu_hi=float(br.hi), utility=utility, iterations=len(br.mids))
+        mu_hi=float(br.hi), utility=utility, iterations=len(br.mids),
+        budget_slack=br.slack)
 
 
 def _tangent_level(mv0: np.ndarray, dmv0: np.ndarray, p_con: float) -> float:

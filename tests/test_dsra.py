@@ -80,6 +80,19 @@ def test_fixed_allocation_empty():
     assert fs.alloc.total_power == 0.0
     assert fs.utility == 0.0
     assert fs.iterations == 0
+    assert fs.budget_slack
+
+
+def test_fixed_allocation_reports_a_slack_budget():
+    # mu_min = 0: the marginal at the whole budget underflows, and the root
+    # at mu = 0 is the first power where it does, 16 of the budget's 20
+    inst = single_combo_instance(gamma=100.0, p_con=20.0)
+    assert mu_bounds(inst)[0] == 0.0
+    fs = solve_fixed_allocation(inst, np.ones((1, 1, 1)), kappa=1e-9)
+    assert fs.budget_slack
+    assert fs.alloc.total_power == 16.0
+    assert not solve_fixed_allocation(single_combo_instance(), np.ones((1, 1, 1)),
+                                      kappa=1e-9).budget_slack
 
 
 @st.composite
@@ -167,6 +180,7 @@ def test_fixed_solves_of_a_desk_trial_take_few_steps(monkeypatch):
         assert fs.iterations <= (3 if inst.dists.n_atoms == 1 else 8)
         assert fs.mu_hi - fs.mu_lo <= kappa
         assert fs.alloc.total_power == pytest.approx(inst.p_con, rel=1e-9)
+        assert not fs.budget_slack
 
 
 def test_guided_search_ends_on_the_halving_bracket(monkeypatch):

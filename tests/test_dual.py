@@ -1,10 +1,14 @@
 """Dual machinery: power roots, scores, winner sets, multiplier bounds."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ofdma_sra import (AllocationState, ProblemInstance, SnrDistribution,
-                       UtilitySpec, allocation_utility, evaluate_mu, mu_bounds)
+from ofdma_sra import (AllocationState, ProblemInstance, ScenarioConfig,
+                       SnrDistribution, UtilitySpec, allocation_utility,
+                       evaluate_mu, mu_bounds, run_trial)
 from ofdma_sra.dual import _tie_mask
 from ofdma_sra.kernels import get_kernels
 from conftest import (closed_form_power, closed_form_v, combo_instance,
@@ -12,6 +16,7 @@ from conftest import (closed_form_power, closed_form_v, combo_instance,
 from reference import (check_allocation, exhaustive_lagrangian_min,
                        indicator_cost, lagrangian)
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 MCS = (1.0, 0.5, 2.0)
 LN4 = 2 * np.log(2.0)
 
@@ -272,11 +277,26 @@ def test_allocation_utility_zero():
 def test_instance_takes_one_n_k_atoms_batch():
     inst = point_mass_instance([[1.0, 2.0], [0.5, 1.5], [1.2, 0.3]], p_con=3.0)
     assert inst.shape == (3, 2, 2)
-    # the law table: one (N*K, 1, atoms) view, not one copy per MCS
-    assert inst.flat()[0].shape == (6, 1, 1)
+    # the law table: one (N*K, atoms) view, not one copy per MCS
+    assert inst.flat()[0].shape == (6, 1)
     good = dict(mcs=inst.mcs, utility=inst.utility, p_con=3.0)
     for dists in (SnrDistribution.point_mass([1.0, 2.0]),         # (K, A)
                   SnrDistribution.point_mass(np.ones((3, 2, 2))),  # 4-D
                   [[SnrDistribution.point_mass(1.0)] * 2] * 3):    # nested list
         with pytest.raises(ValueError, match=r"shape \(N, K, atoms\)"):
             ProblemInstance(dists=dists, **good)
+
+
+def test_a_desk_trial_makes_no_atom_pass_at_zero_power(monkeypatch):
+    # E U(0) is in closed form: no expected_utilities call has only p = 0
+    powers = []
+    namespace = get_kernels()
+    expected = namespace.expected_utilities
+    monkeypatch.setattr(namespace, "expected_utilities",
+                        lambda *args: powers.append(args[-1]) or expected(*args))
+    cfg = ScenarioConfig.from_dict(json.loads(
+        (CONFIGS / "pilot_sweep_desk.json").read_text()))
+    for s in range(len(cfg.sweep_values)):
+        run_trial(cfg, s, 0)
+    assert len(powers) > 10
+    assert not [p for p in powers if p.size and not p.any()]

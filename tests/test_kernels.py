@@ -20,10 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofdma_sra import kernels
+from ofdma_sra import McsTable, kernels
 from ofdma_sra.dual import _rows
 from ofdma_sra.kernels import (_BLOCK_ROWS, ROOT_MAX_ITER, ROOT_REL_TOL,
-                               _u_der_t, _u_value)
+                               _u_der_t, _u_value, zero_power_utilities)
 
 REF_GROW_MAX = 200  # doublings of the reference's upper bracket
 
@@ -262,20 +262,40 @@ def test_maps_on_no_rows():
         assert kernels._marginal_slope(*rows, np.zeros(0)).shape == (2, 0)
 
 
+# -- zero power: the closed form against the atom sum --------------------------
+
+
+@pytest.mark.parametrize("ucode", [0, 1, 2, 3])
+def test_zero_power_utilities_match_the_atom_sum(rng, ucode):
+    tables = [McsTable.capacity(4)] + ([] if ucode == 3 else [McsTable.qam(4)])
+    for mcs in tables:  # a = 1: U(0) = 0, exactly as every atom's term
+        a, b, r = (x.ravel() for x in (mcs.a, mcs.b, mcs.r))
+        gamma, w = packed(rng, a.size, ucode)[:2]
+        uparam = rng.uniform(0.2, 3.0, a.size)
+        zero = zero_power_utilities(a, r, ucode, uparam)
+        assert np.array_equal(zero, kernels._expected(
+            gamma, w, a, b, r, ucode, uparam, np.zeros(a.size)))
+        assert not zero.any()
+    gamma, w, a, b, r, _, uparam = rows = packed(rng, 400, ucode)
+    assert np.any(a < 1.0)  # a < 1: the weights sum to 1 within rounding
+    zero = zero_power_utilities(a, r, ucode, uparam)
+    atoms = kernels._expected(*rows, np.zeros(a.size))
+    assert np.all(np.abs(zero - atoms) <= 8 * np.spacing(np.abs(zero)))
+
+
 # -- the law table: one atom row per law, read by its M rows in place ----------
 
 
 def law_table(rng, n_laws, n_mcs, ucode):
-    """Random laws as a (laws, 1, atoms) table, with n_mcs rows per law."""
-    gamma, w = packed(rng, n_laws, ucode)[:2]
-    return (gamma[:, None], w[:, None]) + packed(rng, n_laws * n_mcs, ucode)[2:]
+    """Random laws as a (laws, atoms) table, with n_mcs rows per law."""
+    return packed(rng, n_laws, ucode)[:2] + packed(rng, n_laws * n_mcs, ucode)[2:]
 
 
 def gathered(table):
-    """The same rows with each row's law copied out, as (rows, atoms)."""
+    """The same rows with each row's law copied out, one law per row."""
     gamma, w, a = table[:3]
     law = np.arange(a.size) // (a.size // gamma.shape[0])
-    return (gamma[law, 0], w[law, 0]) + table[2:]
+    return (gamma[law], w[law]) + table[2:]
 
 
 @pytest.mark.parametrize("ucode", [0, 1, 2, 3])
@@ -298,22 +318,25 @@ def test_law_table_maps_match_gathered_rows(rng, ucode):
 def test_law_table_roots_match_gathered_rows(rng, ucode, monkeypatch):
     table = law_table(rng, 150, 15, ucode)
     rows = gathered(table)
-    mv0, dmv0 = kernels._marginal_slope(*rows, np.zeros(rows[0].shape[0]))
-    layouts = []
+    n = rows[0].shape[0]
+    mv0, dmv0 = kernels._marginal_slope(*rows, np.zeros(n))
+    laws = []
     gather = kernels._gather
 
     def recording(work, todo):
-        layouts.append(work[0].ndim)
+        laws.append((work[0].shape[0], todo.size))
         return gather(work, todo)
 
     monkeypatch.setattr(kernels, "_gather", recording)
     for q, more_than_half in ((0.2, True), (0.8, False)):
         mu = float(np.quantile(mv0, q))
         assert (np.mean(mv0 > mu) > 0.5) == more_than_half
-        layouts.clear()
+        laws.clear()
         got = kernels._power_roots(*table, mu, mv0, dmv0)
-        # the first gather reads each row's law from the table, once
-        assert layouts[0] == 3 and set(layouts[1:]) <= {2}
+        # the first gather reads each row's law from the table, once; later
+        # ones cut a working set of one law per row
+        assert laws[0] == (150, n)
+        assert all(n_laws == size for n_laws, size in laws[1:])
         assert np.array_equal(got, kernels._power_roots(*rows, mu, mv0, dmv0))
 
 
