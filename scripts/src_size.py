@@ -3,7 +3,7 @@
 
     python3 scripts/src_size.py [CHECKOUT]
 
-CHECKOUT defaults to the checkout holding this script.  Prints three lines
+CHECKOUT defaults to the checkout holding this script.  Prints four lines
 for the ``.py`` files under CHECKOUT's ``src/``:
 
 * ``lines``: every line;
@@ -13,11 +13,18 @@ for the ``.py`` files under CHECKOUT's ``src/``:
   lines it spans.  A comment line is one whose first non-blank character
   is ``#`` outside any docstring;
 * ``all``: the number of names in ``ofdma_sra.__all__``, read from the
-  literal list in ``src/ofdma_sra/__init__.py`` without importing it.
+  literal list in ``src/ofdma_sra/__init__.py`` without importing it;
+* ``knobs``: the settings a run takes, from CHECKOUT's own package: the
+  leaf fields of ``ScenarioConfig`` (a field that is itself a dataclass,
+  such as ``ChannelConfig``, counted field by field) plus the options of
+  the ``run`` subcommand.
 """
 
+import argparse
 import ast
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +60,25 @@ def public_names(init: Path) -> int:
     raise ValueError(f"no __all__ list in {init}")
 
 
+def leaf_fields(cls) -> int:
+    hints = typing.get_type_hints(cls)
+    return sum(leaf_fields(hints[f.name]) if dataclasses.is_dataclass(hints[f.name])
+               else 1 for f in dataclasses.fields(cls))
+
+
+def knobs(src: Path) -> int:
+    sys.path.insert(0, str(src))
+    from ofdma_sra.cli import build_parser
+    from ofdma_sra.experiments import ScenarioConfig
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = [action for action in commands.choices["run"]._actions
+               if action.option_strings
+               and not isinstance(action, argparse._HelpAction)]
+    return leaf_fields(ScenarioConfig) + len(options)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -63,6 +89,7 @@ def main(argv=None) -> int:
     print(f"lines: {sum(len(s.splitlines()) for s in sources)}")
     print(f"code_lines: {sum(code_lines(s) for s in sources)}")
     print(f"all: {public_names(src / 'ofdma_sra' / '__init__.py')}")
+    print(f"knobs: {knobs(src)}")
     return 0
 
 

@@ -17,19 +17,22 @@ rows.
 The endpoint allocations (min-power tie rule) are combined with the weight
 lam that meets the budget exactly; when the two endpoint allocations
 coincide, or lam is 0 or 1, the combination is itself a valid
-one-combination-per-subchannel allocation.  If the lower end never
-moved and spends less than P_con, the budget is slack: the bracket
-collapses to [mu_min, mu_min] with lam = 0 and no midpoints.
+one-combination-per-subchannel allocation.  If even mu_min spends less
+than P_con, the budget is slack, and the search (``dual._bisect_budget``)
+returns the bracket collapsed to [mu_min, mu_min] with lam = 0 and no
+steps.  Atoms of a wide dynamic range reach it (ROADMAP, robust sweeps).
 
 The utility of the returned solution sits within (mu_hi - mu_lo) * P_con of
 the continuous optimum, so the bracket width kappa is a tunable optimality
-certificate.  Both endpoint indicators, empty ones included, are also
-water-filled to their fixed-allocation optima into ``fixed_lo`` and
+certificate.  Its default, 0.3 / P_con, is capped at 1/16 of [mu_min,
+mu_max]: a small budget otherwise makes it wider than the range, and the
+solve takes no step.  Both endpoint indicators, empty ones included, are
+also water-filled to their fixed-allocation optima into ``fixed_lo`` and
 ``fixed_hi`` (``waterfill``): a halving over at most N active combinations
 each, which proposals of the binding price (a closed-form start, then
 Newton steps on log mu) bring to its final bracket in a few evaluations;
-an empty indicator needs none.  The best
-feasible of the blend and those water-fillings is returned; this never
+an empty indicator needs none.  The best feasible of the blend and those
+water-fillings is returned, the blend on an exact utility tie; this never
 weakens the certificate -- every candidate is feasible and meets the budget
 -- and the discrete solver, which keeps the one of ``fixed_lo`` and
 ``fixed_hi`` of higher utility, can never report more than the continuous
@@ -43,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .dual import (AllocationState, ProblemInstance, _bisect_budget, _Bracket,
+from .dual import (AllocationState, ProblemInstance, _bisect_budget,
                    allocation_utility, evaluate_mu, mu_bounds)
 from .waterfill import FixedAllocationSolve, refinement_kappa, solve_fixed_allocation
 
@@ -78,22 +81,17 @@ class CsraResult:
 
 
 def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
-    """Bisection solve of the subchannel-sharing problem to bracket width kappa."""
-    if kappa is None:
-        kappa = default_kappa(inst.p_con)
-    if not kappa > 0.0:
+    """Bisection solve of the subchannel-sharing problem to bracket width
+    kappa; by default ``default_kappa``, capped at 1/16 of [mu_min, mu_max]
+    so that a small budget still takes 4 halvings."""
+    if kappa is not None and not kappa > 0.0:
         raise ValueError("bracket width must be positive")
-
     mu_min, mu_max = mu_bounds(inst)
+    if kappa is None:
+        kappa = min(default_kappa(inst.p_con), (mu_max - mu_min) / 16.0)
     br = _bisect_budget(partial(evaluate_mu, inst),
                         lambda ev: ev.alloc_min.total_power, inst.p_con,
                         mu_min, mu_max, kappa)
-    # A slack budget is reachable: atoms of a wide dynamic range (e.g.
-    # [1e-300, 1e300]) leave the marginal flat within ROOT_REL_TOL of mu_min,
-    # and the allocation spends a fraction of P_con with gap 0; what to do
-    # instead is open (ROADMAP.md, robust sweeps).
-    if br.slack:
-        br = _Bracket(mu_min, mu_min, br.at_lo, br.at_lo, [], 0.0, True)
     lam, mu_lo, mu_hi = br.lam, br.lo, br.hi
     alloc_lo, alloc_hi = br.at_lo.alloc_min, br.at_hi.alloc_min
     same_ends = bool(np.array_equal(alloc_lo.indicator, alloc_hi.indicator))

@@ -305,19 +305,22 @@ class _Bracket:
     slack: bool         # the lower end spends less than the budget
 
 
-def _halve(lo: float, hi: float, kappa: float, binds) -> tuple:
+def _halve(lo: float, hi: float, kappa: float, a: float, b: float) -> tuple:
     """Halve [lo, hi] until it is at most kappa wide, or its ends are
-    adjacent floats (a kappa below their spacing); a midpoint for which
-    ``binds(mid)`` holds becomes the lower end, any other the upper end."""
+    adjacent floats (a kappa below their spacing).  A midpoint <= a becomes
+    the lower end and one >= b the upper end.  Returns the bracket and the
+    first midpoint strictly between a and b, or None once it is final."""
     while hi - lo > kappa:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if binds(mid):
+        if mid <= a:
             lo = mid
-        else:
+        elif mid >= b:
             hi = mid
-    return lo, hi
+        else:
+            return lo, hi, mid
+    return lo, hi, None
 
 
 def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
@@ -325,77 +328,59 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
                    ) -> _Bracket:
     """Halve [lo, hi] on the power price mu around the budget-binding point.
 
-    ``evaluate(mu, at_lo, at_hi)`` is the work done at one price, given the
-    results at the nearest evaluated points on either side (None for a side
-    with none yet), and ``total(result)`` the power it spends.  A midpoint
-    binds when ``total >= budget`` there (``_halve``).  Ends are evaluated
-    lazily: an end that was never evaluated is evaluated, once, after the
-    halving.  ``lam`` is the weight on the upper end at which the blend of
-    the two ends spends ``budget``, clipped to [0, 1].  The budget is
-    ``slack`` when the lower end, which then never moved, spends less than
-    ``budget * (1 - 1e-6)``; the tolerance keeps root-find noise at the
-    exactly-binding corner out.
-
-    **Guided halving.**  ``start`` proposes the binding price before any
-    evaluation, from below, and ``estimate(mu, result)`` after each (a
-    Newton step).  The halving is unchanged, but a midpoint is evaluated
-    only when it lies strictly between the nearest evaluated points that
-    bind and that do not; any other is decided without an evaluation,
-    because the total is nonincreasing in mu.  In its place the loop
-    evaluates a point of the final grid (the ends of the brackets the
-    halving can finish on): the one next to the proposal away from where it
-    came from, above ``start`` and above a proposal made at a binding
-    point, below one made at a point that does not bind.  A proposal in the
-    final bracket thus lands on its far end, and the next on its near end.
-    When the far end is not strictly between the evaluated points, the near
-    end is taken, and when neither is, the midpoint.  So lo, hi and the ends' evaluations are those of plain
-    halving, unless two totals computed within the root tolerance of each
-    other are out of order.
+    ``evaluate(mu, at_a, at_b)`` is the work done at one price, given the
+    results at the nearest evaluated points that bind (a, ``total >=
+    budget``) and that do not (b), None before there is one; ``total(result)``
+    is the power it spends.  The total is nonincreasing in mu, so ``_halve``
+    decides any midpoint outside (a, b) unevaluated, and each pass of the
+    loop evaluates one point in (a, b) and moves a or b.  That point is the
+    undecided midpoint, unless a proposal of the binding price exists:
+    ``start`` before any evaluation, then ``estimate(mu, result)`` of the
+    last one, computed when needed.  The point is then an end of the
+    proposal's final-grid cell strictly inside (a, b): the upper end first
+    after ``start`` or a proposal made at a binding point, the lower end
+    first after one made at a point that does not bind.  Every evaluated
+    point is a node of the halving, so a and b end as the final bracket,
+    the one plain halving ends on.  An end never evaluated is evaluated
+    last.  ``lam`` is the weight on the upper end at which the blend spends
+    ``budget``, clipped to [0, 1].  When the lower end spends less than
+    ``budget * (1 - 1e-6)`` (it never moved; the tolerance keeps root noise
+    at the exactly binding corner out) the budget is ``slack``: the bracket
+    collapses onto lo with lam 0 and no mids, and hi is not evaluated.
     """
     mids = []
-    # nearest evaluated points that bind (a) and that do not (b), or the
-    # starting ends, and the results there; the results at the bracket's
-    # ends, None where an end was decided without an evaluation
     a, at_a, b, at_b = lo, None, hi, None
-    at_lo = at_hi = None
+    end_lo, end_hi = lo, hi
     guess, from_below, last = start, True, None
-
-    def binds(mid):
-        nonlocal a, at_a, b, at_b, at_lo, at_hi, guess, from_below, last
-        while a < mid < b:
-            if last is not None:  # the estimate from the last evaluation
-                guess, from_below, last = estimate(*last[:2]), last[2], None
-            point = mid
-            if np.isfinite(guess):
-                cell = _halve(lo, hi, kappa, lambda m: m <= guess)
-                for grid in (cell[::-1] if from_below else cell):
-                    if a < grid < b:
-                        point = grid
-                        break
-            mids.append(point)
-            at = evaluate(point, at_a, at_b)
-            binding = total(at) >= budget
-            if binding:
-                a, at_a = point, at
-            else:
-                b, at_b = point, at
-            if estimate is not None:
-                last = (point, at, binding)
-        if mid <= a:
-            at_lo = at_a if mid == a else None
-            return True
-        at_hi = at_b if mid == b else None
-        return False
-
-    end_lo, end_hi = _halve(lo, hi, kappa, binds)
-    if at_lo is None:
-        at_lo = evaluate(end_lo)
-    if at_hi is None:
-        at_hi = evaluate(end_hi)
-    x_lo, x_hi = total(at_lo), total(at_hi)
+    while True:
+        end_lo, end_hi, point = _halve(end_lo, end_hi, kappa, a, b)
+        if point is None:
+            break
+        if last is not None:
+            guess, from_below = estimate(*last[:2]), last[2]
+        if np.isfinite(guess):
+            cell = _halve(lo, hi, kappa, guess, guess)[:2]
+            point = next((end for end in (cell[::-1] if from_below else cell)
+                          if a < end < b), point)
+        mids.append(point)
+        at = evaluate(point, at_a, at_b)
+        binding = total(at) >= budget
+        if binding:
+            a, at_a = point, at
+        else:
+            b, at_b = point, at
+        if estimate is not None:
+            last = (point, at, binding)
+    if at_a is None:
+        at_a = evaluate(a)
+    x_lo = total(at_a)
+    if x_lo < budget * (1.0 - 1e-6):
+        return _Bracket(a, a, at_a, at_a, [], 0.0, True)
+    if at_b is None:
+        at_b = evaluate(b)
+    x_hi = total(at_b)
     lam = 0.0 if x_lo == x_hi else (x_lo - budget) / (x_lo - x_hi)
-    return _Bracket(end_lo, end_hi, at_lo, at_hi, mids,
-                    min(max(lam, 0.0), 1.0), x_lo < budget * (1.0 - 1e-6))
+    return _Bracket(a, b, at_a, at_b, mids, min(max(lam, 0.0), 1.0), False)
 
 
 # ---------------------------------------------------------------------------

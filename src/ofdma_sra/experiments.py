@@ -124,7 +124,7 @@ class ScenarioConfig:
     sweep_values: tuple[float, ...] = _nested("sweep.values", (-10.0,))
     n_trials: int = 50
     seed: int = 0
-    kappa: float | None = None     # None -> 0.3 / P_con
+    kappa: float | None = None     # None -> min(0.3/P_con, mu range/16)
     n_atoms: int = 32
     schemes: tuple[str, ...] = ALL_SCHEMES
     subgradient_updates: int = _nested("subgradient.updates", 15)

@@ -21,8 +21,10 @@ The halving ends on the same bracket as without proposals, after 2
 evaluations on point masses and 4-8 on 32-atom laws at desk scale, where
 halving alone takes 29-33.  The two ends of that bracket are blended so the
 returned powers meet the budget with equality, unless even mu_min spends
-less (``budget_slack``; e.g. mu_min = 0 where the marginal underflows).
-An empty indicator spends nothing, needs no search and counts as slack.
+less (``budget_slack``; e.g. mu_min = 0 where the marginal underflows):
+the search then returns the bracket collapsed onto mu_min and no steps.  An
+empty indicator spends nothing, needs no search and is reported the same
+way.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class FixedAllocationSolve:
     mu_hi: float
     utility: float          # sum of expected utilities at the blended powers
     iterations: int
-    budget_slack: bool      # spends less than the budget even at mu_min
+    budget_slack: bool      # spends less than the budget even at mu_min;
+                            # mu_lo == mu_hi == mu_min, 0 iterations
 
 
 def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,

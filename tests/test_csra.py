@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from ofdma_sra import (ChannelConfig, McsTable, ScenarioConfig,
                        allocation_utility, csra, default_kappa, evaluate_mu,
-                       mu_bounds, solve_csra)
+                       fp_rus_baseline, mu_bounds, solve_csra)
 from ofdma_sra.dual import _bisect_budget
-from ofdma_sra.experiments import build_trial_instances
+from ofdma_sra.experiments import build_trial_instances, trial_seed
 from ofdma_sra.kernels import get_kernels
 from conftest import atom_instance, point_mass_instance, single_combo_instance
 from reference import check_allocation, iteration_bound
@@ -135,6 +135,24 @@ def test_invalid_kappa():
     for kappa in (0.0, np.nan):
         with pytest.raises(ValueError, match="bracket width"):
             solve_csra(inst, kappa=kappa)
+
+
+def test_default_kappa_halves_a_small_budget():
+    # desk shape at -30 dB: 0.3 / P_con is wider than [mu_min, mu_max], so
+    # uncapped the solve takes no step, and FP-RUS's allocation scored on
+    # the same perfect-CSI instance beats the continuous optimum
+    cfg = ScenarioConfig(
+        channel=ChannelConfig(n_subchannels=16, n_users=4, snr_db=-30.0),
+        n_mcs=4, n_atoms=32)
+    for trial in range(3):
+        seed = trial_seed(cfg.seed, 0, trial)
+        parts = build_trial_instances(cfg, seed)
+        inst = parts["pcsi"]
+        res = solve_csra(inst)
+        assert res.iterations >= 4
+        assert res.mu_hi - res.mu_lo <= (res.mu_max - res.mu_min) / 16.0
+        fp_rus = fp_rus_baseline(parts["prior"], seed)
+        assert allocation_utility(inst, fp_rus) <= res.utility
 
 
 # -- screening: survivors only once both bracket ends exist ---------------------

@@ -91,6 +91,9 @@ def test_fixed_allocation_reports_a_slack_budget():
     fs = solve_fixed_allocation(inst, np.ones((1, 1, 1)), kappa=1e-9)
     assert fs.budget_slack
     assert fs.alloc.total_power == 16.0
+    # the bracket collapses onto mu_min, as a slack CSRA budget's does
+    assert fs.mu_lo == fs.mu_hi == 0.0
+    assert fs.iterations == 0
     assert not solve_fixed_allocation(single_combo_instance(), np.ones((1, 1, 1)),
                                       kappa=1e-9).budget_slack
 
@@ -259,12 +262,12 @@ def test_sandwich_property_small_budgets(inst):
 
 
 def test_empty_upper_end():
-    # the default kappa = 0.3 / P_con spans [mu_min, mu_max], so no step is
-    # taken; nothing is active at mu_max and the root at mu_min overshoots
-    # P_con, which puts lam well inside (0, 1)
+    # kappa = 0.3 / P_con spans [mu_min, mu_max], so no step is taken;
+    # nothing is active at mu_max and the root at mu_min overshoots P_con,
+    # which puts lam well inside (0, 1)
     inst = point_mass_instance([[1.0], [2.0]], p_con=0.1,
                                mcs=McsTable.qam(1, 1))
-    csra = solve_csra(inst)
+    csra = solve_csra(inst, default_kappa(inst.p_con))
     assert csra.iterations == 0 and 0.0 < csra.lam < 1.0
     assert not csra.alloc_hi.indicator.any()
     dsra = solve_dsra(inst, csra)

@@ -276,12 +276,12 @@ def test_icsi_schemes_share_one_continuous_solve(monkeypatch):
 
 
 def test_desk_trial_with_empty_upper_end():
-    # P_con = 16 * 10^-2: the default kappa = 0.3 / P_con is wider than
-    # [mu_min, mu_max], so the upper bracket end sits at mu_max and
-    # allocates nothing
+    # P_con = 16 * 10^-2: kappa = 0.3 / P_con is wider than [mu_min,
+    # mu_max], so the upper bracket end sits at mu_max and allocates nothing
     cfg = ScenarioConfig.from_dict({
         "channel": {"n_subchannels": 16, "n_users": 4},
         "mcs": {"n_mcs": 4}, "n_atoms": 32, "n_trials": 1, "seed": 608,
+        "kappa": 0.3 / 0.16,
         "sweep": {"variable": "snr_db", "values": [-20.0]},
         "schemes": ["CSRA-ICSI", "DSRA-ICSI"]})
     recs = {r.scheme: r for r in run_trial(cfg, 0, 0)}
