@@ -302,7 +302,8 @@ class _Bracket:
     at_hi: object
     mids: list[float]   # every point evaluated in the loop, in order
     lam: float          # weight on the upper end of the budget-meeting blend
-    slack: bool         # the lower end spends less than the budget
+    slack: bool         # the lower end spends less than the budget; then
+                        # lo == hi, at_lo is at_hi, and mids is empty
 
 
 def _halve(lo: float, hi: float, kappa: float, a: float, b: float) -> tuple:
