@@ -337,10 +337,11 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
     loop evaluates one point in (a, b) and moves a or b.  That point is the
     undecided midpoint, unless a proposal of the binding price exists:
     ``start`` before any evaluation, then ``estimate(mu, result)`` of the
-    last one, computed when needed.  The point is then an end of the
-    proposal's final-grid cell strictly inside (a, b): the upper end first
-    after ``start`` or a proposal made at a binding point, the lower end
-    first after one made at a point that does not bind.  Every evaluated
+    last one, computed when needed; one that is not finite keeps the
+    proposal before it.  The point is then an end of the proposal's
+    final-grid cell strictly inside (a, b): the upper end first before any
+    evaluation or after a binding one, the lower end first after one that
+    does not bind.  Every evaluated
     point is a node of the halving, so a and b end as the final bracket,
     the one plain halving ends on.  An end never evaluated is evaluated
     last.  ``lam`` is the weight on the upper end at which the blend spends
@@ -358,7 +359,10 @@ def _bisect_budget(evaluate, total, budget: float, lo: float, hi: float,
         if point is None:
             break
         if last is not None:
-            guess, from_below = estimate(*last[:2]), last[2]
+            proposal = estimate(*last[:2])
+            if np.isfinite(proposal):
+                guess = proposal
+            from_below = last[2]
         if np.isfinite(guess):
             cell = _halve(lo, hi, kappa, guess, guess)[:2]
             point = next((end for end in (cell[::-1] if from_below else cell)

@@ -79,7 +79,8 @@ def solve_fixed_allocation(inst: ProblemInstance, indicator: np.ndarray,
         return get_kernels().power_roots(*packed, mu, *zero)
 
     def binding_price(mu, p):
-        # one Newton step on log mu from the roots p at mu
+        # one Newton step on log mu from the roots p at mu; none where no
+        # row is on (above every threshold), and the last proposal stands
         on = p > 0.0
         if not on.any():
             return np.nan

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdma_sra import (McsTable, ProblemInstance, ScenarioConfig,
@@ -129,6 +129,12 @@ def point_mass_allocation(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(point_mass_allocation())
+# the tangent level sits just below one row's threshold, and the upper end of
+# its cell above every threshold: nothing is on there to take a Newton step
+@example(("random", point_mass_instance(
+    [[1.0], [0.042169650342858224], [0.056234132519034905], [1.0]], 0.01,
+    mcs=McsTable.qam(1, 2)), np.array([[[0.0, 0.0]], [[1.0, 0.0]],
+                                       [[0.0, 1.0]], [[0.0, 0.0]]])))
 def test_fixed_allocation_matches_exact_point_mass_waterfill(case):
     kind, inst, ind = case
     rows = np.flatnonzero(ind)
