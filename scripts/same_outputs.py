@@ -13,7 +13,9 @@ outputs compared are
 
 * ``trials.csv`` without its ``runtime_ms`` column,
 * ``summary.csv``, byte for byte,
-* ``manifest.json`` without ``runtime_s``.
+* ``manifest.json`` without ``runtime_s``; a differing manifest is listed
+  with the top-level keys that differ, as in
+  ``manifest.json (config, config_sha256)``.
 
 With ``--rtol R``, ``trials.csv`` is compared as numbers instead: the line
 of a config gives each column's largest relative difference
@@ -51,14 +53,25 @@ def _manifest(path: Path) -> dict:
 
 
 GATED = ("goodput_per_subchannel", "utility")  # the columns --rtol bounds
+MISSING = object()  # a manifest key one side lacks
 READERS = {"trials.csv": _trials, "summary.csv": Path.read_bytes,
            "manifest.json": _manifest}
 
 
 def differences(run_a: Path, run_b: Path) -> list[str]:
-    """The outputs of two run directories that differ, timings aside."""
-    return [name for name, read in READERS.items()
-            if read(run_a / name) != read(run_b / name)]
+    """The outputs of two run directories that differ, timings aside; the
+    manifest's entry names its top-level keys that differ."""
+    found = []
+    for name, read in READERS.items():
+        a, b = read(run_a / name), read(run_b / name)
+        if a == b:
+            continue
+        if isinstance(a, dict):  # manifest.json
+            keys = [k for k in sorted(a.keys() | b.keys())
+                    if a.get(k, MISSING) != b.get(k, MISSING)]
+            name += f" ({', '.join(keys)})"
+        found.append(name)
+    return found
 
 
 def _drift(a: str, b: str) -> float:

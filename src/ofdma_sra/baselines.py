@@ -3,8 +3,8 @@
 * fixed-power random-user scheduling: no instantaneous CSI at all; one
   uniformly drawn user per subchannel, power P_con/N, and whichever MCS
   maximizes expected goodput at that power (a lower bound for everyone),
-* projected subgradient on the dual variable with 1/i steps: the
-  convergence-speed strawman for the bisection.
+* projected subgradient on the dual variable with 1/i steps scaled to the
+  instance: the convergence-speed strawman for the bisection.
 
 The perfect-CSI upper bound needs no code of its own: the runner's
 ``CSRA-PCSI`` scheme is ``solve_csra`` on point masses at the realized SNRs.
@@ -18,6 +18,8 @@ from .dual import AllocationState, ProblemInstance, _rows, evaluate_mu, mu_bound
 from .kernels import get_kernels
 from .snr import STREAM_SCHEDULER
 from .utility import UTILITY_CODES
+
+SUBGRADIENT_UPDATES = 15  # the multipliers a SUBGRAD-ICSI run visits
 
 
 def fp_rus_baseline(inst: ProblemInstance, seed: int) -> AllocationState:
@@ -44,23 +46,23 @@ def fp_rus_baseline(inst: ProblemInstance, seed: int) -> AllocationState:
     return AllocationState(indicator, x)
 
 
-def subgradient_baseline(inst: ProblemInstance, n_updates: int,
-                         scale: float = 1.0) -> AllocationState:
-    """Dual ascent with step scale/i on the budget violation.
+def subgradient_baseline(inst: ProblemInstance,
+                         n_updates: int = SUBGRADIENT_UPDATES) -> AllocationState:
+    """Dual ascent with step s/i on the budget violation.
 
-    mu_{i+1} = max(mu_min, mu_i + scale * (X*(mu_i) - P_con) / i), from the
-    midpoint of [mu_min, mu_max]; returns the min-power allocation at the
-    last of the n_updates multipliers visited.  The iterates close in on the
-    budget-binding multiplier far slower than bisection, which is the point
-    of keeping this around.
+    mu_{i+1} = max(mu_min, mu_i + s * (X*(mu_i) - P_con) / i), from the
+    midpoint of [mu_min, mu_max], with s = (mu_max - mu_min) / (N * P_con):
+    an empty allocation moves mu down by 1/(N i) of its range.  Returns the
+    min-power allocation at the last of the n_updates multipliers visited.
+    The iterates close in on the budget-binding multiplier far slower than
+    bisection, which is the point of keeping this around.
     """
     if n_updates < 1:
         raise ValueError("need at least one update")
-    if not 0.0 < scale < np.inf:
-        raise ValueError("step scale must be finite and positive")
     mu_min, mu_max = mu_bounds(inst)
+    step = (mu_max - mu_min) / (inst.n_subchannels * inst.p_con)
     mu = 0.5 * (mu_min + mu_max)
     for i in range(1, n_updates + 1):
         alloc = evaluate_mu(inst, mu).alloc_min
-        mu = max(mu_min, mu + scale * (alloc.total_power - inst.p_con) / i)
+        mu = max(mu_min, mu + step * (alloc.total_power - inst.p_con) / i)
     return alloc

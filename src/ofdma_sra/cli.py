@@ -1,7 +1,9 @@
 """Command-line scenario runner.
 
-    ofdma-sra run scenario.json --out results/ --seed 7 \
+    ofdma-sra run scenario.json --out results/ \
         --schemes CSRA-ICSI,DSRA-ICSI,FP-RUS --threads 4
+
+The root seed is the config's ``seed``.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -29,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the scenario JSON file")
     run.add_argument("--out", default="runs/latest",
                      help="output directory (default: runs/latest)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the config's root seed")
     run.add_argument("--schemes", default=None,
                      help="comma-separated scheme subset to run")
     run.add_argument("--threads", type=int, default=1,
@@ -42,8 +42,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ScenarioConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.schemes is not None:
             names = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
             cfg = dataclasses.replace(cfg, schemes=names)

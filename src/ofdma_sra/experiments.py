@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import fp_rus_baseline, subgradient_baseline
+from .baselines import (SUBGRADIENT_UPDATES, fp_rus_baseline,
+                        subgradient_baseline)
 from .csra import solve_csra
 from .dsra import solve_dsra
 from .dual import ProblemInstance, allocation_goodput, allocation_utility
@@ -66,39 +67,38 @@ class ConfigError(ValueError):
 class UtilityConfig:
     variant: str = "goodput"
     class_weights: tuple[float, ...] | None = None  # users split into equal classes
-    weights: tuple[float, ...] | None = None        # explicit per-user weights
     scale: float = 1.0                              # capacity-log only
 
     def __post_init__(self):
         if self.variant not in UTILITY_CODES:
             raise ConfigError(f"utility.variant: unknown variant {self.variant!r}")
+        if not self.scale > 0.0:
+            raise ConfigError("utility.scale: must be positive")
         if self.scale != 1.0 and self.variant != "capacity_log":
             raise ConfigError(f"utility.scale: {self.variant} takes no scale")
-        for name in ("weights", "class_weights"):
-            if (getattr(self, name) is not None
-                    and self.variant in ("goodput", "capacity_log")):
-                raise ConfigError(f"utility.{name}: {self.variant} takes no "
-                                  "weights")
+        weighted = self.variant not in ("goodput", "capacity_log")
+        if self.class_weights is not None and not weighted:
+            raise ConfigError(f"utility.class_weights: {self.variant} takes no "
+                              "weights")
+        if weighted and not self.class_weights:
+            raise ConfigError(f"utility.class_weights: {self.variant} needs "
+                              "class_weights")
+        if weighted and not all(w > 0.0 for w in self.class_weights):
+            raise ConfigError("utility.class_weights: must be positive")
 
     def realize(self, n_users: int) -> UtilitySpec:
         if self.variant == "goodput":
             return UtilitySpec.goodput(n_users)
         if self.variant == "capacity_log":
             return UtilitySpec.capacity_log(self.scale, n_users)
-        if self.weights is not None:
-            if len(self.weights) != n_users:
-                raise ConfigError(
-                    f"utility.weights: expected {n_users} entries, "
-                    f"got {len(self.weights)}")
-            w = np.asarray(self.weights, dtype=float)
-        elif self.class_weights:
-            parts = np.array_split(np.arange(n_users), len(self.class_weights))
-            w = np.empty(n_users)
-            for cw, idx in zip(self.class_weights, parts):
-                w[idx] = cw
-        else:
-            raise ConfigError(f"utility.weights: {self.variant} needs weights "
-                              "or class_weights")
+        n_classes = len(self.class_weights)
+        if n_classes > n_users:
+            raise ConfigError(f"utility.class_weights: {n_classes} classes for "
+                              f"{n_users} users")
+        parts = np.array_split(np.arange(n_users), n_classes)
+        w = np.empty(n_users)
+        for cw, idx in zip(self.class_weights, parts):
+            w[idx] = cw
         if self.variant == "weighted_goodput":
             return UtilitySpec.weighted_goodput(w)
         return UtilitySpec.exp_pricing(w)
@@ -127,8 +127,6 @@ class ScenarioConfig:
     kappa: float | None = None     # None -> min(0.3/P_con, mu range/16)
     n_atoms: int = 32
     schemes: tuple[str, ...] = ALL_SCHEMES
-    subgradient_updates: int = _nested("subgradient.updates", 15)
-    subgradient_scale: float = _nested("subgradient.scale", 1.0)
 
     def __post_init__(self):
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -141,16 +139,13 @@ class ScenarioConfig:
             if len(set(values)) < len(values):
                 raise ConfigError(f"{path}: duplicate values")
         for path, count in (("n_trials", self.n_trials), ("mcs.n_mcs", self.n_mcs),
-                            ("n_atoms", self.n_atoms),
-                            ("subgradient.updates", self.subgradient_updates)):
+                            ("n_atoms", self.n_atoms)):
             if count < 1:
                 raise ConfigError(f"{path}: must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
-        for path, value in (("kappa", self.kappa),
-                            ("subgradient.scale", self.subgradient_scale)):
-            if value is not None and not value > 0.0:
-                raise ConfigError(f"{path}: must be positive")
+        if self.kappa is not None and not self.kappa > 0.0:
+            raise ConfigError("kappa: must be positive")
         if self.mcs_preset not in ("qam", "capacity"):
             raise ConfigError(f"mcs.preset: unknown preset {self.mcs_preset!r}")
         if self.utility.variant == "capacity_log" and self.mcs_preset != "capacity":
@@ -200,6 +195,8 @@ class ScenarioConfig:
         if not self.utility.class_weights:
             raise ConfigError("sweep.variable: weight_w1 requires "
                               "utility.class_weights")
+        if not value > 0.0:
+            raise ConfigError("sweep.values: weight_w1 must be positive")
         cw = (float(value),) + tuple(self.utility.class_weights[1:])
         return replace(self, utility=replace(self.utility, class_weights=cw))
 
@@ -241,7 +238,7 @@ def _kwargs(raw, layout: dict, default, path: str) -> dict:
     prefix = f"{path}." if path else ""
     for key in raw:
         if key not in layout:
-            raise ConfigError(f"unknown config key {prefix}{key!r}")
+            raise ConfigError(f"unknown config key {prefix + key!r}")
     kwargs = {}
     for key, node in layout.items():
         if isinstance(node, dict):
@@ -397,9 +394,8 @@ def run_trial(cfg: ScenarioConfig, sweep_index: int, trial: int) -> list[TrialRe
             alloc = fp_rus_baseline(inst, seed)
         else:  # SUBGRAD-ICSI
             inst = parts["icsi"]
-            alloc = subgradient_baseline(inst, swept.subgradient_updates,
-                                         swept.subgradient_scale)
-            iters = swept.subgradient_updates
+            alloc = subgradient_baseline(inst)
+            iters = SUBGRADIENT_UPDATES
         records.append(TrialRecord(
             sweep_var=cfg.sweep_variable, sweep_value=value, trial=trial,
             scheme=scheme,

@@ -3,9 +3,10 @@
 The downlink sees N non-interfering subchannels per user.  User k's
 frequency-domain gains are h_k = F g_k with F the first L columns of the
 N-point DFT matrix and g_k i.i.d. CN(0, sigma_g^2) taps; the exogenous SNR
-is gamma_{n,k} = |h_{n,k}|^2 (unit-variance noise).  With sigma_g^2 = 1/L
-the SNRs have unit mean, so the per-subchannel data SNR is P_con/N and the
-pilot SNR is p_pilot.
+is gamma_{n,k} = |h_{n,k}|^2 (unit-variance noise).  sigma_g^2 is fixed at
+1/L, so the SNRs have unit mean, the per-subchannel data SNR is P_con/N and
+the pilot SNR is p_pilot.  (Any other tap variance is the same problem with
+both dB values shifted by 10 log10(L sigma_g^2).)
 
 The scheduler never sees gamma directly.  It sees pilot observations
 y_k = sqrt(p_pilot) h_k + noise, forms the MMSE estimate of h_k, and works
@@ -55,7 +56,6 @@ class ChannelConfig:
     n_subchannels: int
     n_users: int
     tap_count: int = 2
-    tap_variance: float | None = None  # None -> 1/L, which forces E{gamma}=1
     snr_db: float = 10.0
     pilot_snr_db: float = -10.0
 
@@ -64,8 +64,6 @@ class ChannelConfig:
             raise ValueError("dimensions must be positive")
         if self.tap_count >= self.n_subchannels:
             raise ValueError("tap count must be smaller than the number of subchannels")
-        if self.tap_variance is not None and self.tap_variance <= 0:
-            raise ValueError("tap variance must be positive")
         try:  # a pilot power of 0, no pilot, is allowed
             finite = 0.0 < self.p_con < np.inf and self.pilot_power < np.inf
         except OverflowError:
@@ -76,7 +74,7 @@ class ChannelConfig:
 
     @property
     def sigma_g2(self) -> float:
-        return self.tap_variance if self.tap_variance is not None else 1.0 / self.tap_count
+        return 1.0 / self.tap_count
 
     @property
     def p_con(self) -> float:

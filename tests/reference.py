@@ -222,7 +222,7 @@ def bisection_mids(inst):
                           mu_min, mu_max, (mu_max - mu_min) * 2.0 ** -40).mids
 
 
-def traced_subgradient(inst, n_updates, scale=1.0):
+def traced_subgradient(inst, n_updates):
     """``subgradient_baseline`` and what it visited: (allocation, mus,
     min-power totals), one entry per update, recorded by wrapping the
     ``evaluate_mu`` the baseline calls."""
@@ -236,7 +236,7 @@ def traced_subgradient(inst, n_updates, scale=1.0):
 
     baselines.evaluate_mu = record
     try:
-        alloc = baselines.subgradient_baseline(inst, n_updates, scale)
+        alloc = baselines.subgradient_baseline(inst, n_updates)
     finally:
         baselines.evaluate_mu = evaluate
     mus, totals = np.array(steps).T

@@ -295,7 +295,7 @@ def test_criterion_09_convergence_rate():
     mids = bisection_mids(inst)
     mu_ref = mids[-1]
     err_bisect = abs(mids[14] - mu_ref)
-    _, mus, _ = traced_subgradient(inst, 15, scale=DESK.subgradient_scale)
+    _, mus, _ = traced_subgradient(inst, 15)
     err_sub = abs(mus[-1] - mu_ref)
     assert err_bisect <= err_sub / 10.0
     print(f"[criterion 9] PASS: after 15 updates bisection err "

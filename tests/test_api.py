@@ -115,7 +115,7 @@ def test_a_fresh_trial_loads_no_scipy_stats():
         from ofdma_sra import ChannelConfig, ScenarioConfig, run_trial
         cfg = ScenarioConfig(channel=ChannelConfig(n_subchannels=4, n_users=2),
                              n_mcs=2, sweep_values=(-10.0,), n_trials=1,
-                             n_atoms=4, subgradient_updates=2)
+                             n_atoms=4)
         assert run_trial(cfg, 0, 0)
         print(" ".join(sorted(sys.modules)))
     """

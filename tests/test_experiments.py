@@ -24,21 +24,20 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # manifest config_sha256 of every shipped config; a change moves every run's hash
 CONFIG_SHA256 = {
     "pilot_sweep_desk.json":
-        "ad7875558c3da972e2c0d8b6ff87ecd5da74ddac11fc857db8f4c142e93f3798",
+        "bc03fecb2b573d48d8747de84862f40efd2b51813f571116d8dab9008c3488b3",
     "pilot_sweep_full.json":
-        "5c4582658834ee0cfe835eb6d637afc0d1838cda19625e8b01c5b62e4c82739a",
+        "3690a2fdf65af305ffcc89b749780c34af7e3237a376ac50bb7a15791e3830bc",
     "pricing_sweep_desk.json":
-        "527d1b1e81488757926d761fff58c6705637afd33d64afc7b98047f7f2fc6d82",
+        "cdc8e5c63a5a41ef845790c395c19469c9005b96ecf15aa13754aa2c0cdfcaa8",
     "snr_sweep_desk.json":
-        "61c6e1363489e63a6817b138bcaa9b1f0391ed3499271c0d767485223601dd25",
+        "a19a56019f003bd97db0af4e6c6956a11e7bd3a8d668d5a56f8fe3b6a6f84298",
     "users_sweep_desk.json":
-        "22619054314c64f12b27478ee6f8aefb7eb72f79a84779dcd03d3c2e1fdac376",
+        "937218a9e9ffb8fb5e15c92852ca47d886921d2c7123b6042dd1650d29a703f1",
 }
 
 TINY = ScenarioConfig(
     channel=ChannelConfig(n_subchannels=6, n_users=2),
-    n_mcs=2, sweep_values=(-10.0, 0.0), n_trials=2, n_atoms=8, seed=11,
-    subgradient_updates=5)
+    n_mcs=2, sweep_values=(-10.0, 0.0), n_trials=2, n_atoms=8, seed=11)
 
 
 def test_config_roundtrip():
@@ -76,8 +75,8 @@ def test_missing_keys_take_defaults():
     d = ScenarioConfig().to_dict()
     # an unset optional number is written as null, an unset optional list
     # is left out
-    assert d["kappa"] is None and d["channel"]["tap_variance"] is None
-    assert "weights" not in d["utility"] and "class_weights" not in d["utility"]
+    assert d["kappa"] is None
+    assert "class_weights" not in d["utility"]
 
 
 def test_config_rejects_unknown_keys():
@@ -118,8 +117,6 @@ BAD_CONFIGS = [
     ({"channel": {"tap_count": False}},
      r"^channel\.tap_count: must be an integer"),
     ({"mcs": {"n_mcs": "3"}}, r"^mcs\.n_mcs: must be an integer"),
-    ({"subgradient": {"updates": 1.5}},
-     r"^subgradient\.updates: must be an integer"),
     ({"kappa": -1}, r"^kappa: must be positive"),
     ({"kappa": 0}, r"^kappa: must be positive"),
     ({"schemes": ["WAT"]}, r"^schemes: unknown scheme 'WAT'"),
@@ -133,17 +130,32 @@ BAD_CONFIGS = [
     ({"utility": {"variant": "nope"}}, r"^utility\.variant: unknown variant"),
     ({"utility": {"variant": "capacity_log"}},
      r"^utility\.variant: capacity_log"),
-    ({"utility": {"variant": "exp_pricing"}}, r"^utility\.weights: "),
-    ({"utility": {"variant": "exp_pricing", "weights": [1.0, 2.0, 3.0]}},
-     r"^utility\.weights: expected 4 entries"),
-    ({"utility": {"variant": "weighted_goodput", "weights": [1.0, 1.0]},
-      "sweep": {"variable": "n_users", "values": [2, 3]}},
-     r"^utility\.weights: expected 3 entries"),
+    ({"utility": {"variant": "exp_pricing"}},
+     r"^utility\.class_weights: exp_pricing needs class_weights"),
+    ({"utility": {"variant": "exp_pricing", "class_weights": []}},
+     r"^utility\.class_weights: exp_pricing needs class_weights"),
+    ({"utility": {"variant": "exp_pricing",
+                  "class_weights": [1, 2, 3, 4, 5, 6]}},
+     r"^utility\.class_weights: 6 classes for 4 users"),
+    ({"utility": {"variant": "weighted_goodput", "class_weights": [1, 2, 3]},
+      "sweep": {"variable": "n_users", "values": [4, 2]}},
+     r"^utility\.class_weights: 3 classes for 2 users"),
     ({"utility": {"variant": "exp_pricing", "class_weights": [1.0, -2.0]}},
-     r"^utility: "),
-    ({"subgradient": {"updates": "x"}}, r"^subgradient\.updates: "),
-    ({"subgradient": {"updates": 0}},
-     r"^subgradient\.updates: must be at least 1"),
+     r"^utility\.class_weights: must be positive"),
+    ({"utility": {"variant": "weighted_goodput", "class_weights": [0, 1]}},
+     r"^utility\.class_weights: must be positive"),
+    ({"utility": {"variant": "exp_pricing", "class_weights": [1.0, 1.0]},
+      "sweep": {"variable": "weight_w1", "values": [0.5, 0.0]}},
+     r"^sweep\.values: weight_w1 must be positive"),
+    ({"mcs": {"preset": "capacity"},
+      "utility": {"variant": "capacity_log", "scale": -1}},
+     r"^utility\.scale: must be positive"),
+    # removed settings: the step is derived, tap variance is 1/L
+    ({"subgradient": {"updates": 15}}, r"^unknown config key 'subgradient'"),
+    ({"utility": {"variant": "exp_pricing", "weights": [1, 1, 1, 1]}},
+     r"^unknown config key 'utility\.weights'"),
+    ({"channel": {"tap_variance": 0.5}},
+     r"^unknown config key 'channel\.tap_variance'"),
     ([], r"^config root: must be an object"),
     # numbers are finite JSON numbers, strings are strings
     ({"kappa": "0.5"}, r"^kappa: must be a number, got '0\.5'"),
@@ -156,8 +168,6 @@ BAD_CONFIGS = [
      r"^channel\.pilot_snr_db: must be finite, got nan"),
     ({"channel": {"snr_db": float("inf")}},
      r"^channel\.snr_db: must be finite, got inf"),
-    ({"channel": {"tap_variance": float("nan")}},
-     r"^channel\.tap_variance: must be finite, got nan"),
     ({"kappa": float("inf")}, r"^kappa: must be finite, got inf"),
     ({"kappa": 10 ** 400}, r"^kappa: int too large to convert to float"),
     ({"sweep": {"values": [-10.0, float("nan")]}},
@@ -172,15 +182,12 @@ BAD_CONFIGS = [
     ({"schemes": []}, r"^schemes: must be non-empty"),
     ({"schemes": ["FP-RUS", "FP-RUS"]}, r"^schemes: duplicate values"),
     # values the run would ignore or misuse
-    ({"subgradient": {"scale": -1.0}},
-     r"^subgradient\.scale: must be positive"),
-    ({"subgradient": {"scale": 0}}, r"^subgradient\.scale: must be positive"),
     ({"utility": {"variant": "goodput", "class_weights": [1, 2]},
       "sweep": {"variable": "weight_w1", "values": [0.5, 1.0]}},
      r"^utility\.class_weights: goodput takes no weights"),
     ({"mcs": {"preset": "capacity"},
-      "utility": {"variant": "capacity_log", "weights": [1, 1, 1, 1]}},
-     r"^utility\.weights: capacity_log takes no weights"),
+      "utility": {"variant": "capacity_log", "class_weights": [1, 1]}},
+     r"^utility\.class_weights: capacity_log takes no weights"),
     ({"utility": {"variant": "goodput", "scale": 0.5}},
      r"^utility\.scale: goodput takes no scale"),
     # dB fields whose linear power overflows or underflows
@@ -288,6 +295,18 @@ def test_desk_trial_with_empty_upper_end():
     assert recs["DSRA-ICSI"].utility <= recs["CSRA-ICSI"].utility + 1e-9
 
 
+def test_subgradient_reaches_an_allocation_on_the_desk_sweep():
+    # the step (mu_max - mu_min) / (N * P_con) is derived from the instance;
+    # a fixed step of 1 left all 18 of these trials on an empty allocation
+    raw = json.loads((CONFIGS / "pilot_sweep_desk.json").read_text())
+    cfg = ScenarioConfig.from_dict(dict(raw, schemes=["SUBGRAD-ICSI"]))
+    for s, value in enumerate(cfg.sweep_values):
+        for t in range(3):
+            rec, = run_trial(cfg, s, t)
+            assert rec.goodput_per_subchannel > 0.0, (value, t)
+            assert rec.iters == 15
+
+
 def test_run_scenario_outputs(tmp_path):
     out = run_scenario(TINY, tmp_path / "run")
     rows = _csv_rows(out["trials_csv"])
@@ -383,10 +402,9 @@ def test_cli_run_ok(tmp_path, capsys):
         "channel": {"n_subchannels": 4, "n_users": 2},
         "mcs": {"preset": "qam", "n_mcs": 2},
         "sweep": {"variable": "pilot_snr_db", "values": [-10.0]},
-        "n_trials": 1, "n_atoms": 4,
+        "n_trials": 1, "n_atoms": 4, "seed": 5,
         "schemes": ["CSRA-ICSI", "FP-RUS"]})
-    code = cli_main(["run", str(cfg), "--out", str(tmp_path / "out"),
-                     "--seed", "5"])
+    code = cli_main(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 0
     assert (tmp_path / "out" / "trials.csv").exists()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -435,13 +453,16 @@ def test_cli_schemes_override_is_checked(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
-def test_cli_seed_override_is_checked(tmp_path, capsys):
+def test_cli_takes_no_seed_flag(tmp_path, capsys):
+    # the root seed is the config's "seed"
     cfg = write_config(tmp_path, {
         "channel": {"n_subchannels": 4, "n_users": 2},
         "sweep": {"values": [-10.0]}, "n_trials": 1, "n_atoms": 4})
-    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
-                     "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: seed: must be nonnegative\n"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                  "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

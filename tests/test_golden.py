@@ -4,10 +4,7 @@ Three small sweeps run all five schemes through ``run_scenario``; each row of
 the resulting ``trials.csv`` except the wall-clock ``runtime_ms`` column must
 match ``golden_trials.csv`` as text.  This is the only end-to-end check of
 SUBGRAD-ICSI and of the weighted (code 1) and capacity-log (code 3)
-utilities, so a refactor that moves any printed digit fails here.  At the
-default subgradient scale the desk instance ends every run on an empty
-allocation, so the last two sweeps use a smaller step to reach a non-trivial
-one.
+utilities, so a refactor that moves any printed digit fails here.
 
 Regenerate the data file only for an intended change of results:
 
@@ -34,15 +31,13 @@ SCENARIOS = {
         "channel": DESK, "mcs": {"preset": "capacity"},
         "utility": {"variant": "capacity_log", "scale": 0.5},
         "sweep": {"variable": "pilot_snr_db", "values": [-10.0, 5.0]},
-        "n_trials": 2, "seed": 71, "n_atoms": 32, "schemes": ALL,
-        "subgradient": {"updates": 15, "scale": 1e-3}},
+        "n_trials": 2, "seed": 71, "n_atoms": 32, "schemes": ALL},
     "weighted_goodput": {
         "channel": DESK, "mcs": {"preset": "qam", "n_mcs": 4},
         "utility": {"variant": "weighted_goodput",
                     "class_weights": [0.85, 1.0]},
         "sweep": {"variable": "weight_w1", "values": [0.5, 2.0]},
-        "n_trials": 2, "seed": 72, "n_atoms": 32, "schemes": ALL,
-        "subgradient": {"updates": 15, "scale": 1e-3}},
+        "n_trials": 2, "seed": 72, "n_atoms": 32, "schemes": ALL},
 }
 
 

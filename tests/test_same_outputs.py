@@ -115,7 +115,30 @@ def test_only_timings_are_ignored(tmp_path):
     assert differences_after("summary.csv", lambda text: text + "\n") == [
         "summary.csv"]
     assert differences_after("manifest.json", set_key("root_seed", -1)) == [
-        "manifest.json"]
+        "manifest.json (root_seed)"]
+
+
+def test_a_differing_manifest_names_its_keys(tmp_path):
+    same_outputs = load_script()
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    run_scenario(ScenarioConfig.from_dict(TINY), run_a)
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["config"]["seed"] = 12
+        doc["config_sha256"] = "0" * 64
+        doc["extra"] = None
+        del doc["version"]
+        return json.dumps(doc)
+
+    edited_copy(run_a, run_b, "manifest.json", edit)
+    assert same_outputs.differences(run_a, run_b) == [
+        "manifest.json (config, config_sha256, extra, version)"]
+    edited_copy(run_a, run_b, "trials.csv", set_cell("utility", "0"))
+    (run_b / "manifest.json").write_text(
+        edit((run_b / "manifest.json").read_text()))
+    assert same_outputs.differences(run_a, run_b) == [
+        "trials.csv", "manifest.json (config, config_sha256, extra, version)"]
 
 
 def test_rtol_bounds_utility_and_goodput(tmp_path):
