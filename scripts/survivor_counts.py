@@ -6,13 +6,16 @@
 Builds trial 0 of ``configs/pilot_sweep_full.json`` at each of its pilot
 SNRs and solves CSRA on the cell's PCSI and ICSI instances.  Every
 midpoint evaluation is counted by the rows it scores: all of them until
-both bracket ends exist, the survivors of the screen after that.  The
-counts go into section ``survivors`` of the given BENCH file, which is
-created if it does not exist.
+both bracket ends exist, the survivors of the screen after that.  On the
+ICSI solve, the one DSRA-ICSI ranks, the DSRA gap bound's evaluation is
+counted the same way, next to its wall time.  The counts go into section
+``survivors`` of the given BENCH file, which is created if it does not
+exist.
 """
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -21,16 +24,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from ofdma_sra import csra, experiments  # noqa: E402
+from ofdma_sra import csra, dsra, experiments  # noqa: E402
 from ofdma_sra.experiments import ScenarioConfig  # noqa: E402
 
 CONFIG = ROOT / "configs" / "pilot_sweep_full.json"
 
 
-def count_steps(inst, kappa) -> dict:
-    """One CSRA solve with the rows each evaluation scored, in order."""
-    evaluate = csra.evaluate_mu
-    steps = []
+@contextmanager
+def counting(module, steps: list):
+    """Append to steps the rows each ``module.evaluate_mu`` call scores."""
+    evaluate = module.evaluate_mu
 
     def counted(instance, mu, at_lo=None, at_hi=None):
         ev = evaluate(instance, mu, at_lo, at_hi)
@@ -38,15 +41,29 @@ def count_steps(inst, kappa) -> dict:
                       "rows": int(np.count_nonzero(np.isfinite(ev.v)))})
         return ev
 
-    csra.evaluate_mu = counted
+    module.evaluate_mu = counted
     try:
+        yield
+    finally:
+        module.evaluate_mu = evaluate
+
+
+def count_steps(inst, kappa, gap_bound: bool) -> dict:
+    """One CSRA solve with the rows each evaluation scored, in order, and
+    with gap_bound the same for the DSRA gap bound on its result."""
+    out = {"rows_total": int(np.prod(inst.shape)), "steps": []}
+    with counting(csra, out["steps"]):
         t0 = perf_counter()
         res = csra.solve_csra(inst, kappa)
-        seconds = perf_counter() - t0
-    finally:
-        csra.evaluate_mu = evaluate
-    return {"iterations": res.iterations, "rows_total": int(np.prod(inst.shape)),
-            "solve_s": seconds, "steps": steps}
+        out["solve_s"] = perf_counter() - t0
+    out["iterations"] = res.iterations
+    if gap_bound:
+        out["gap_bound_steps"] = []
+        with counting(dsra, out["gap_bound_steps"]):
+            t0 = perf_counter()
+            out["gap_bound"] = dsra.dsra_gap_bound(inst, res)
+            out["gap_bound_s"] = perf_counter() - t0
+    return out
 
 
 def main(argv=None) -> int:
@@ -62,10 +79,13 @@ def main(argv=None) -> int:
             swept, experiments.trial_seed(cfg.seed, s, 0))
         cell = {"pilot_snr_db": value, "trial": 0}
         for name in ("pcsi", "icsi"):
-            cell[name] = count_steps(parts[name], swept.kappa)
+            cell[name] = count_steps(parts[name], swept.kappa,
+                                     gap_bound=name == "icsi")
         cells.append(cell)
         print(value, [[st["rows"] for st in cell[n]["steps"]]
-                      for n in ("pcsi", "icsi")], file=sys.stderr)
+                      for n in ("pcsi", "icsi")],
+              [st["rows"] for st in cell["icsi"]["gap_bound_steps"]],
+              file=sys.stderr)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["survivors"] = {"config": str(CONFIG.relative_to(ROOT)),
                         "cells": cells}

@@ -12,7 +12,9 @@ min(0, least score at the upper end) plus a few 1e-9 relative (the tie band,
 the root tolerance and rounding) can never tie inside it.  The screened
 allocations, mu_lo, mu_hi and the step count are bit for bit those of full
 evaluations; at full scale a screened midpoint scores 64-1279 of 15 360
-rows.
+rows.  The final bracket's two end evaluations are kept on the result
+(``at_lo`` and ``at_hi``), so that a later evaluation inside the bracket --
+the discrete gap bound's midpoint (``dsra``) -- is screened the same way.
 
 The endpoint allocations (min-power tie rule) are combined with the weight
 lam that meets the budget exactly; when the two endpoint allocations
@@ -47,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .dual import (AllocationState, ProblemInstance, _bisect_budget,
-                   allocation_utility, evaluate_mu, mu_bounds)
+                   MuEvaluation, allocation_utility, evaluate_mu, mu_bounds)
 from .waterfill import FixedAllocationSolve, refinement_kappa, solve_fixed_allocation
 
 DEFAULT_KAPPA_SCALE = 0.3  # default bracket width is 0.3 / P_con
@@ -65,8 +67,10 @@ class CsraResult:
     mu_max: float
     mu_lo: float
     mu_hi: float
-    alloc_lo: AllocationState
-    alloc_hi: AllocationState
+    # the final bracket's end evaluations; their alloc_min are the ends'
+    # allocations, and they screen later evaluations inside the bracket
+    at_lo: MuEvaluation = field(repr=False)
+    at_hi: MuEvaluation = field(repr=False)
     lam: float
     blend: AllocationState
     alloc: AllocationState      # best feasible candidate (blend or fixed_lo/hi)
@@ -75,7 +79,7 @@ class CsraResult:
     iterations: int             # bisection mu-updates
     budget_slack: bool
     degenerate_blend: bool      # blend lies in the discrete domain
-    # water-fillings of alloc_lo and alloc_hi; one object when the two agree
+    # water-fillings of the ends' allocations; one object when the two agree
     fixed_lo: FixedAllocationSolve = field(repr=False)
     fixed_hi: FixedAllocationSolve = field(repr=False)
 
@@ -112,7 +116,7 @@ def solve_csra(inst: ProblemInstance, kappa: float | None = None) -> CsraResult:
 
     return CsraResult(
         mu_min=mu_min, mu_max=mu_max, mu_lo=mu_lo, mu_hi=mu_hi,
-        alloc_lo=alloc_lo, alloc_hi=alloc_hi, lam=lam,
+        at_lo=br.at_lo, at_hi=br.at_hi, lam=lam,
         blend=blend, alloc=best_alloc, utility=best_util,
         gap_bound=(mu_hi - mu_lo) * inst.p_con, iterations=len(br.mids),
         budget_slack=br.slack, degenerate_blend=degenerate,

@@ -14,7 +14,12 @@ otherwise the utility shortfall is bounded by
     (mu* - mu_min) * (P_con - X_min(mu*)),
 
 with X_min the total power of the min-power tie resolution at the optimal
-multiplier and, coarser, by (mu_max - mu_min) * P_con.
+multiplier and, coarser, by (mu_max - mu_min) * P_con.  The bound scores the
+bracket midpoint with the screen of the continuous solve's own midpoints
+(``evaluate_mu`` given the final bracket's end evaluations): only the
+combinations that can still tie inside the bracket, a few dozen of 15 360
+rows at full scale.  Screening can only lower the bound, never below the
+true shortfall (``dsra_gap_bound``).
 """
 
 from __future__ import annotations
@@ -48,12 +53,24 @@ def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
     winner with that slack; with no tie anywhere the discrete solution is
     exact and the bound is 0.  The certificate consumer folds in a
     kappa * P_con slack for the midpoint proxy.
+
+    The midpoint is scored with the screen (``evaluate_mu`` given the end
+    evaluations ``csra.at_lo`` and ``csra.at_hi``).  Screening can only
+    lower the bound, and only by what cannot tie.  The survivors' scores
+    are bit for bit those of a full evaluation, and every combination tied
+    at the midpoint survives, so the winner, its power and the subchannels
+    with a tie are unchanged; a dropped row only leaves the tied set.  A
+    row is dropped only if it ties for its subchannel's least score
+    nowhere in [mu_lo, mu_hi], the bracket that holds the optimal
+    multiplier, so it is no candidate for the least tied power there.
+    Removing it can only raise the least tied power, hence X_min, so the
+    bound can only fall, and it still covers every row that can tie.
     """
     if csra.budget_slack:
         return 0.0
     mu_mid = 0.5 * (csra.mu_lo + csra.mu_hi)
     width = csra.mu_hi - csra.mu_lo
-    ev = evaluate_mu(inst, mu_mid)
+    ev = evaluate_mu(inst, mu_mid, csra.at_lo, csra.at_hi)
     n_sub = inst.n_subchannels
     v2 = ev.v.reshape(n_sub, -1)
     p2 = ev.p_star.reshape(n_sub, -1)

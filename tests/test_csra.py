@@ -82,8 +82,8 @@ def test_csra_utility_matches_blend_and_dominates_endpoints():
     inst = atom_instance(seed=11, p_con=24.0)
     res = solve_csra(inst)
     u_blend = allocation_utility(inst, res.blend)
-    u_lo = allocation_utility(inst, res.alloc_lo)
-    u_hi = allocation_utility(inst, res.alloc_hi)
+    u_lo = allocation_utility(inst, res.at_lo.alloc_min)
+    u_hi = allocation_utility(inst, res.at_hi.alloc_min)
     assert u_blend >= min(u_lo, u_hi) - 1e-9
     assert res.utility >= u_blend - 1e-12  # candidate polish only helps
     assert res.utility == pytest.approx(allocation_utility(inst, res.alloc),

@@ -15,6 +15,7 @@ from ofdma_sra import (McsTable, ProblemInstance, ScenarioConfig,
                        dsra_gap_bound, evaluate_mu, mu_bounds, run_trial,
                        solve_csra, solve_dsra, solve_fixed_allocation)
 from ofdma_sra import csra, waterfill
+from ofdma_sra import dsra as dsra_module
 from ofdma_sra.dual import _bisect_budget, _rows
 from ofdma_sra.waterfill import refinement_kappa
 from conftest import atom_instance, point_mass_instance, single_combo_instance
@@ -267,15 +268,19 @@ def test_sandwich_property_small_budgets(inst):
     assert dsra.alloc.total_power <= inst.p_con * (1.0 + 1e-9)
 
 
-def test_empty_upper_end():
-    # kappa = 0.3 / P_con spans [mu_min, mu_max], so no step is taken;
-    # nothing is active at mu_max and the root at mu_min overshoots P_con,
-    # which puts lam well inside (0, 1)
-    inst = point_mass_instance([[1.0], [2.0]], p_con=0.1,
+def empty_upper_end_instance():
+    """At kappa = 0.3 / P_con the bracket spans [mu_min, mu_max], so no
+    step is taken; nothing is active at mu_max and the root at mu_min
+    overshoots P_con, which puts lam well inside (0, 1)."""
+    return point_mass_instance([[1.0], [2.0]], p_con=0.1,
                                mcs=McsTable.qam(1, 1))
+
+
+def test_empty_upper_end():
+    inst = empty_upper_end_instance()
     csra = solve_csra(inst, default_kappa(inst.p_con))
     assert csra.iterations == 0 and 0.0 < csra.lam < 1.0
-    assert not csra.alloc_hi.indicator.any()
+    assert not csra.at_hi.alloc_min.indicator.any()
     dsra = solve_dsra(inst, csra)
     assert not dsra.exact_from_continuous
     assert dsra.csra.fixed_lo is not dsra.csra.fixed_hi  # both ends ranked
@@ -283,14 +288,18 @@ def test_empty_upper_end():
     assert dsra.utility <= csra.utility + 1e-9
 
 
-def test_budget_slack_collapses_the_bracket():
-    # atoms 60 decades apart: even mu_min does not spend the budget, so the
-    # lower end never moves and the bracket collapses onto it
+def slack_instance():
+    """Atoms 60 decades apart: even mu_min does not spend the budget, so
+    the lower end never moves and the bracket collapses onto it."""
     laws = SnrDistribution(np.tile([1e-30, 1e30], (4, 1, 1)),
                            np.full((4, 1, 2), 0.5))
-    inst = ProblemInstance(mcs=McsTable.qam(1, 2),
+    return ProblemInstance(mcs=McsTable.qam(1, 2),
                            utility=UtilitySpec.goodput(1),
                            dists=laws, p_con=16.0)
+
+
+def test_budget_slack_collapses_the_bracket():
+    inst = slack_instance()
     csra = solve_csra(inst)
     assert csra.budget_slack
     assert csra.mu_lo == csra.mu_hi == csra.mu_min
@@ -356,6 +365,69 @@ def test_tie_instance_certificates():
     gap = brute.utility - dsra.utility
     assert -1e-12 <= gap <= dsra.gap_bound + kappa * inst.p_con
     assert dsra.gap_bound <= (csra.mu_max - csra.mu_min) * inst.p_con
+
+
+def unscreened_gap_bound(inst, csra):
+    """The bound from a full evaluation of the midpoint: ``dsra_gap_bound``
+    with the end evaluations dropped from its ``evaluate_mu`` call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsra_module, "evaluate_mu",
+                      lambda inst, mu, at_lo, at_hi: evaluate_mu(inst, mu))
+        return dsra_gap_bound(inst, csra)
+
+
+@st.composite
+def gap_bound_case(draw):
+    """Random atoms (at most 3x2x2, so that brute force stays cheap) with a
+    budget log-uniform in [1e-2, 30], the crossing-score tie, a slack budget
+    or the zero-step bracket with an empty upper end."""
+    kind = draw(st.sampled_from(["atoms", "tie", "slack", "empty_upper_end"]))
+    if kind == "tie":
+        return make_tie_instance()
+    if kind == "slack":
+        return slack_instance()
+    if kind == "empty_upper_end":
+        return empty_upper_end_instance()
+    n_sub, n_usr, n_mcs = (draw(st.integers(1, k)) for k in (3, 2, 2))
+    return atom_instance(draw(st.integers(0, 2 ** 16)), n_sub, n_usr, n_mcs,
+                         draw(st.integers(1, 4)),
+                         10.0 ** draw(st.floats(-2.0, 1.5)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(gap_bound_case())
+def test_screened_gap_bound_is_sound_and_no_larger(inst):
+    # the screen drops only rows that tie nowhere in the bracket: the bound
+    # can only fall, and never below the brute-force shortfall
+    kappa = default_kappa(inst.p_con)
+    csra = solve_csra(inst, kappa)
+    dsra = solve_dsra(inst, csra)
+    assert dsra.gap_bound <= unscreened_gap_bound(inst, csra)
+    brute = brute_force_dsra(inst, kappa)
+    assert dsra.gap_bound >= brute.utility - dsra.utility - kappa * inst.p_con
+
+
+def test_gap_bound_scores_one_screened_midpoint(monkeypatch):
+    # one evaluation, at the bracket midpoint, screened by both kept end
+    # evaluations; none when the budget is slack
+    calls = []
+
+    def spy(instance, mu, at_lo=None, at_hi=None):
+        ev = evaluate_mu(instance, mu, at_lo, at_hi)
+        calls.append((mu, at_lo, at_hi, np.count_nonzero(np.isfinite(ev.v))))
+        return ev
+
+    monkeypatch.setattr(dsra_module, "evaluate_mu", spy)
+    inst = atom_instance(seed=11, n_usr=2, n_mcs=2, n_atoms=4, p_con=24.0)
+    csra = solve_csra(inst)
+    dsra_gap_bound(inst, csra)
+    [(mu, at_lo, at_hi, scored)] = calls
+    assert mu == 0.5 * (csra.mu_lo + csra.mu_hi)
+    assert at_lo is csra.at_lo and at_hi is csra.at_hi
+    assert scored < np.prod(inst.shape)
+    inst = slack_instance()
+    assert dsra_gap_bound(inst, solve_csra(inst)) == 0.0
+    assert len(calls) == 1
 
 
 def test_domination_over_random_batch():
