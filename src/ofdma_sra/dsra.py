@@ -15,11 +15,9 @@ otherwise the utility shortfall is bounded by
 
 with X_min the total power of the min-power tie resolution at the optimal
 multiplier and, coarser, by (mu_max - mu_min) * P_con.  The bound scores the
-bracket midpoint with the screen of the continuous solve's own midpoints
-(``evaluate_mu`` given the final bracket's end evaluations): only the
-combinations that can still tie inside the bracket, a few dozen of 15 360
-rows at full scale.  Screening can only lower the bound, never below the
-true shortfall (``dsra_gap_bound``).
+bracket midpoint with the screen of the continuous solve's own midpoints,
+so only the combinations that can still tie inside the bracket: a few dozen
+of 15 360 rows at full scale.
 """
 
 from __future__ import annotations
@@ -55,16 +53,15 @@ def dsra_gap_bound(inst: ProblemInstance, csra: CsraResult) -> float:
     kappa * P_con slack for the midpoint proxy.
 
     The midpoint is scored with the screen (``evaluate_mu`` given the end
-    evaluations ``csra.at_lo`` and ``csra.at_hi``).  Screening can only
-    lower the bound, and only by what cannot tie.  The survivors' scores
-    are bit for bit those of a full evaluation, and every combination tied
-    at the midpoint survives, so the winner, its power and the subchannels
-    with a tie are unchanged; a dropped row only leaves the tied set.  A
-    row is dropped only if it ties for its subchannel's least score
-    nowhere in [mu_lo, mu_hi], the bracket that holds the optimal
-    multiplier, so it is no candidate for the least tied power there.
-    Removing it can only raise the least tied power, hence X_min, so the
-    bound can only fall, and it still covers every row that can tie.
+    evaluations ``csra.at_lo`` and ``csra.at_hi``), which can only lower
+    the bound.  The survivors' scores are bit for bit those of a full
+    evaluation, and every combination tied at the midpoint survives, so the
+    winner, its power and the subchannels with a tie are unchanged; a
+    dropped row only leaves the tied set.  A row is dropped only if it ties
+    for its subchannel's least score nowhere in [mu_lo, mu_hi], the bracket
+    that holds the optimal multiplier, so it is no candidate for the least
+    tied power there.  Removing it can only raise the least tied power,
+    hence X_min, so the bound can only fall.
     """
     if csra.budget_slack:
         return 0.0
